@@ -177,34 +177,32 @@ func BenchmarkLSC(b *testing.B) {
 // BenchmarkOptimizeBatch measures the concurrent batch pipeline on a slice
 // of the differential corpus: the throughput trajectory that
 // BENCH_batch.json captures from lecbench, reproducible under go test.
+// The uncached runs use a handle without a plan cache, so every batch
+// optimizes every request; the cached run shares one cache across
+// batches, so after the first it measures the lookup step alone.
 func BenchmarkOptimizeBatch(b *testing.B) {
 	corpus := diffCorpus(b)[:40]
-	jobs := make([]BatchJob, len(corpus))
+	reqs := make([]Request, len(corpus))
 	for i, sc := range corpus {
-		jobs[i] = BatchJob{Scenario: sc, Alg: AlgC}
+		reqs[i] = corpusRequest(sc, AlgC)
 	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, r := range OptimizeBatch(jobs, BatchOptions{Workers: workers}) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
-	}
-	b.Run("workers=4/cache", func(b *testing.B) {
-		cache := NewPlanCache(1024)
+	run := func(b *testing.B, opt *Optimizer) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, r := range OptimizeBatch(jobs, BatchOptions{Workers: 4, Cache: cache}) {
+			for _, r := range opt.OptimizeBatch(reqs) {
 				if r.Err != nil {
 					b.Fatal(r.Err)
 				}
 			}
 		}
+	}
+	for _, workers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			run(b, New(nil, WithWorkers(workers), WithExactCacheKeys(), WithoutPlanCache()))
+		})
+	}
+	b.Run("workers=4/cache", func(b *testing.B) {
+		run(b, New(nil, WithWorkers(4), WithExactCacheKeys(), WithSharedCache(NewPlanCache(1024))))
 	})
 }
 

@@ -113,36 +113,37 @@ func batchReportKey(r PlanReport) string {
 		r.Algorithm, r.Plan.Signature(), r.Score, r.EC, r.Candidates, r.Probes)
 }
 
-// TestDifferentialBatchMatchesSequential runs the whole corpus through
-// OptimizeBatch with 8 workers — cold, cache-cold, and cache-warm — and
-// requires byte-identical reports to the sequential path each time.
+// TestDifferentialBatchMatchesSequential runs the whole corpus through a
+// handle's OptimizeBatch with 8 workers and exact cache keys — no cache,
+// cache-cold, and cache-warm — and requires byte-identical reports to the
+// sequential Scenario.Optimize path each time.
 func TestDifferentialBatchMatchesSequential(t *testing.T) {
 	corpus := diffCorpus(t)
-	jobs := make([]BatchJob, len(corpus))
+	reqs := make([]Request, len(corpus))
 	want := make([]string, len(corpus))
 	for i, sc := range corpus {
-		jobs[i] = BatchJob{Scenario: sc, Alg: AlgC}
+		reqs[i] = corpusRequest(sc, AlgC)
 		rep, err := sc.Optimize(AlgC)
 		if err != nil {
 			t.Fatalf("scenario %d: sequential: %v", i, err)
 		}
 		want[i] = batchReportKey(rep)
 	}
-	check := func(label string, results []BatchResult) {
+	check := func(label string, results []Response) {
 		t.Helper()
 		for i, r := range results {
 			if r.Err != nil {
 				t.Fatalf("%s: scenario %d: %v", label, i, r.Err)
 			}
-			if got := batchReportKey(r.Report); got != want[i] {
+			if got := responseKey(r); got != want[i] {
 				t.Errorf("%s: scenario %d:\n got %s\nwant %s", label, i, got, want[i])
 			}
 		}
 	}
-	check("no-cache", OptimizeBatch(jobs, BatchOptions{Workers: 8}))
+	check("no-cache", New(nil, WithWorkers(8), WithExactCacheKeys(), WithoutPlanCache()).OptimizeBatch(reqs))
 	cache := NewPlanCache(1024)
-	check("cache-cold", OptimizeBatch(jobs, BatchOptions{Workers: 8, Cache: cache}))
-	warm := OptimizeBatch(jobs, BatchOptions{Workers: 8, Cache: cache})
+	check("cache-cold", New(nil, WithWorkers(8), WithExactCacheKeys(), WithSharedCache(cache)).OptimizeBatch(reqs))
+	warm := New(nil, WithWorkers(8), WithExactCacheKeys(), WithSharedCache(cache)).OptimizeBatch(reqs)
 	check("cache-warm", warm)
 	hits := 0
 	for _, r := range warm {
@@ -150,8 +151,8 @@ func TestDifferentialBatchMatchesSequential(t *testing.T) {
 			hits++
 		}
 	}
-	if hits != len(jobs) {
-		t.Errorf("warm pass: %d/%d cache hits", hits, len(jobs))
+	if hits != len(reqs) {
+		t.Errorf("warm pass: %d/%d cache hits", hits, len(reqs))
 	}
 }
 

@@ -1,5 +1,5 @@
 // API-equivalence differential harness: the stateful Optimizer service
-// must be a drop-in replacement for the legacy one-shot surface. Over the
+// must answer exactly like the one-shot Scenario surface. Over the
 // 200-scenario corpus (differential_test.go), Optimizer.Optimize and
 // Optimizer.OptimizeBatch must return byte-identical PlanReports to
 // Scenario.Optimize — cold, and warm through the drift-banded plan cache.
@@ -98,27 +98,5 @@ func TestEquivalenceOptimizeBatch(t *testing.T) {
 	}
 	if occupancy != st.Size || st.Size == 0 {
 		t.Errorf("shard occupancy %d disagrees with size %d", occupancy, st.Size)
-	}
-}
-
-// TestEquivalenceDeprecatedWrappers pins that the deprecated free
-// functions still answer exactly like the handle they delegate to.
-func TestEquivalenceDeprecatedWrappers(t *testing.T) {
-	corpus := diffCorpus(t)[:40]
-	jobs := make([]BatchJob, len(corpus))
-	reqs := make([]Request, len(corpus))
-	for i, sc := range corpus {
-		jobs[i] = BatchJob{Scenario: sc, Alg: AlgC}
-		reqs[i] = corpusRequest(sc, AlgC)
-	}
-	legacy := OptimizeBatch(jobs, BatchOptions{Workers: 4, Cache: NewPlanCache(256)})
-	handle := New(nil, WithWorkers(4)).OptimizeBatch(reqs)
-	for i := range corpus {
-		if legacy[i].Err != nil || handle[i].Err != nil {
-			t.Fatalf("scenario %d: errs %v / %v", i, legacy[i].Err, handle[i].Err)
-		}
-		if got, want := batchReportKey(legacy[i].Report), responseKey(handle[i]); got != want {
-			t.Errorf("scenario %d:\n legacy %s\n handle %s", i, got, want)
-		}
 	}
 }

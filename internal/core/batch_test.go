@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"lecopt/internal/dist"
+	"lecopt/internal/envsim"
 	"lecopt/internal/plancache"
 	"lecopt/internal/workload"
 )
@@ -38,31 +39,48 @@ func reportKey(r PlanReport) string {
 		r.Algorithm, r.Plan.Signature(), r.Score, r.EC, r.Candidates, r.Probes)
 }
 
+// scenarioRequest converts a Scenario into the handle's Request form.
+func scenarioRequest(sc *Scenario, alg Algorithm) Request {
+	return Request{
+		Cat: sc.Cat, Query: sc.Query, Env: sc.Env,
+		SelLaws: sc.SelLaws, SizeLaws: sc.SizeLaws,
+		Opts: &sc.Opts, TopC: sc.TopC, Alg: alg,
+	}
+}
+
+// exactConfig is a handle configuration that answers exactly like
+// Scenario.Optimize: exact cache keys and no feedback.
+func exactConfig(workers int, cache *plancache.Cache[PlanReport]) Config {
+	cfg := Config{Workers: workers, DriftBand: -1, DisableFeedback: true, Cache: cache}
+	if cache == nil {
+		cfg.CacheSize = -1
+	}
+	return cfg
+}
+
 func TestOptimizeBatchMatchesSequential(t *testing.T) {
 	scs := batchScenarios(t, 24)
 	algs := []Algorithm{AlgLSCMean, AlgLSCMode, AlgA, AlgB, AlgC}
-	var jobs []BatchJob
+	var reqs []Request
+	var want []string
 	for _, sc := range scs {
 		for _, alg := range algs {
-			jobs = append(jobs, BatchJob{Scenario: sc, Alg: alg})
+			reqs = append(reqs, scenarioRequest(sc, alg))
+			rep, err := sc.Optimize(alg)
+			if err != nil {
+				t.Fatalf("sequential request %d: %v", len(want), err)
+			}
+			want = append(want, reportKey(rep))
 		}
-	}
-	want := make([]string, len(jobs))
-	for i, j := range jobs {
-		rep, err := j.Scenario.Optimize(j.Alg)
-		if err != nil {
-			t.Fatalf("sequential job %d: %v", i, err)
-		}
-		want[i] = reportKey(rep)
 	}
 	for _, workers := range []int{1, 8} {
-		results := OptimizeBatch(jobs, BatchOptions{Workers: workers})
+		results := NewOptimizer(nil, exactConfig(workers, nil)).OptimizeBatch(reqs)
 		for i, r := range results {
 			if r.Err != nil {
-				t.Fatalf("workers=%d job %d: %v", workers, i, r.Err)
+				t.Fatalf("workers=%d request %d: %v", workers, i, r.Err)
 			}
-			if got := reportKey(r.Report); got != want[i] {
-				t.Fatalf("workers=%d job %d:\n got %s\nwant %s", workers, i, got, want[i])
+			if got := reportKey(r.PlanReport); got != want[i] {
+				t.Fatalf("workers=%d request %d:\n got %s\nwant %s", workers, i, got, want[i])
 			}
 		}
 	}
@@ -70,35 +88,36 @@ func TestOptimizeBatchMatchesSequential(t *testing.T) {
 
 func TestOptimizeBatchCache(t *testing.T) {
 	scs := batchScenarios(t, 8)
-	var jobs []BatchJob
+	var reqs []Request
 	for round := 0; round < 3; round++ {
 		for _, sc := range scs {
-			jobs = append(jobs, BatchJob{Scenario: sc, Alg: AlgC})
+			reqs = append(reqs, scenarioRequest(sc, AlgC))
 		}
 	}
 	cache := plancache.New[PlanReport](256)
-	// Warm sequentially so hit accounting is deterministic, then re-run hot.
-	cold := OptimizeBatch(jobs[:len(scs)], BatchOptions{Workers: 1, Cache: cache})
+	// Warm sequentially so hit accounting is deterministic, then re-run
+	// hot on a second handle sharing the cache.
+	cold := NewOptimizer(nil, exactConfig(1, cache)).OptimizeBatch(reqs[:len(scs)])
 	for i, r := range cold {
 		if r.Err != nil || r.CacheHit {
-			t.Fatalf("cold job %d: err=%v hit=%v", i, r.Err, r.CacheHit)
+			t.Fatalf("cold request %d: err=%v hit=%v", i, r.Err, r.CacheHit)
 		}
 	}
-	hot := OptimizeBatch(jobs, BatchOptions{Workers: 4, Cache: cache})
+	hot := NewOptimizer(nil, exactConfig(4, cache)).OptimizeBatch(reqs)
 	for i, r := range hot {
 		if r.Err != nil {
-			t.Fatalf("hot job %d: %v", i, r.Err)
+			t.Fatalf("hot request %d: %v", i, r.Err)
 		}
 		if !r.CacheHit {
-			t.Fatalf("hot job %d missed a warmed cache", i)
+			t.Fatalf("hot request %d missed a warmed cache", i)
 		}
-		if got, want := reportKey(r.Report), reportKey(cold[i%len(scs)].Report); got != want {
-			t.Fatalf("hot job %d:\n got %s\nwant %s", i, got, want)
+		if got, want := reportKey(r.PlanReport), reportKey(cold[i%len(scs)].PlanReport); got != want {
+			t.Fatalf("hot request %d:\n got %s\nwant %s", i, got, want)
 		}
 	}
 	st := cache.Stats()
-	if st.Hits == 0 || st.HitRate() == 0 {
-		t.Fatalf("cache never hit: %+v", st)
+	if st.Hits != uint64(len(reqs)) || st.Misses != uint64(len(scs)) {
+		t.Fatalf("cache counters %+v, want %d hits and %d misses", st, len(reqs), len(scs))
 	}
 	if st.Size != len(scs) {
 		t.Fatalf("cache size = %d, want %d", st.Size, len(scs))
@@ -107,35 +126,45 @@ func TestOptimizeBatchCache(t *testing.T) {
 
 func TestOptimizeBatchPerJobErrors(t *testing.T) {
 	scs := batchScenarios(t, 2)
-	jobs := []BatchJob{
-		{Scenario: scs[0], Alg: AlgC},
-		{Scenario: nil, Alg: AlgC},
-		{Scenario: &Scenario{}, Alg: AlgC},
-		{Scenario: scs[1], Alg: Algorithm(99)},
-		{Scenario: scs[1], Alg: AlgC},
+	noCat := scenarioRequest(scs[0], AlgC)
+	noCat.Cat = nil
+	badEnv := scenarioRequest(scs[0], AlgC)
+	badEnv.Env = envsim.Env{}
+	reqs := []Request{
+		scenarioRequest(scs[0], AlgC),
+		{Alg: AlgC},
+		noCat,
+		scenarioRequest(scs[1], Algorithm(99)),
+		badEnv,
+		scenarioRequest(scs[1], AlgC),
 	}
-	results := OptimizeBatch(jobs, BatchOptions{Workers: 3})
-	if results[0].Err != nil || results[4].Err != nil {
-		t.Fatalf("good jobs failed: %v, %v", results[0].Err, results[4].Err)
-	}
-	if !errors.Is(results[1].Err, ErrNilScenario) || !errors.Is(results[2].Err, ErrNilScenario) {
-		t.Fatalf("nil/empty scenario errors: %v, %v", results[1].Err, results[2].Err)
-	}
-	if !errors.Is(results[3].Err, ErrUnknownAlg) {
-		t.Fatalf("unknown alg error: %v", results[3].Err)
+	for _, cache := range []*plancache.Cache[PlanReport]{nil, plancache.New[PlanReport](64)} {
+		results := NewOptimizer(nil, exactConfig(3, cache)).OptimizeBatch(reqs)
+		if results[0].Err != nil || results[5].Err != nil {
+			t.Fatalf("good requests failed: %v, %v", results[0].Err, results[5].Err)
+		}
+		if !errors.Is(results[1].Err, ErrBadRequest) || !errors.Is(results[2].Err, ErrNoCatalog) {
+			t.Fatalf("missing query/catalog errors: %v, %v", results[1].Err, results[2].Err)
+		}
+		if !errors.Is(results[3].Err, ErrUnknownAlg) {
+			t.Fatalf("unknown alg error: %v", results[3].Err)
+		}
+		if results[4].Err == nil {
+			t.Fatal("invalid environment was optimized")
+		}
 	}
 }
 
 func TestOptimizeBatchEmpty(t *testing.T) {
-	if got := OptimizeBatch(nil, BatchOptions{}); len(got) != 0 {
+	if got := NewOptimizer(nil, Config{}).OptimizeBatch(nil); len(got) != 0 {
 		t.Fatalf("empty batch returned %d results", len(got))
 	}
 }
 
 func TestCacheKeyErrors(t *testing.T) {
 	sc := &Scenario{}
-	if _, err := sc.CacheKey(AlgC); !errors.Is(err, ErrNilScenario) {
-		t.Fatalf("CacheKey on empty scenario: %v", err)
+	if _, err := sc.CacheKeyBandedMargin(AlgC, 0, 0); !errors.Is(err, ErrNilScenario) {
+		t.Fatalf("cache key of an empty scenario: %v", err)
 	}
 }
 
@@ -147,7 +176,7 @@ func TestCacheKeyIgnoresUnreadInputs(t *testing.T) {
 	key := func(mutate func(*Scenario), alg Algorithm) string {
 		sc := *base
 		mutate(&sc)
-		k, err := sc.CacheKey(alg)
+		k, err := sc.CacheKeyBandedMargin(alg, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

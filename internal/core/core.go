@@ -22,6 +22,7 @@ import (
 	"lecopt/internal/envsim"
 	"lecopt/internal/optimizer"
 	"lecopt/internal/plan"
+	"lecopt/internal/plancache"
 	"lecopt/internal/query"
 )
 
@@ -224,4 +225,47 @@ func (s *Scenario) Tournament(reports []PlanReport, runs int, seed int64) (envsi
 		t.Plans = append(t.Plans, r.Plan)
 	}
 	return t.Run(s.Env, runs, rand.New(rand.NewSource(seed)))
+}
+
+// CacheKeyBandedMargin returns the plan-cache signature of optimizing this
+// scenario with alg. Scenarios whose keys are equal are optimized
+// identically, so their PlanReports may be shared; any change to the
+// catalog statistics, query, environment laws or options yields a new key.
+// driftBand > 1 buckets distinct counts into geometric bands of that base
+// before hashing (catalog.BandedFingerprint), so drift *within* a band
+// keeps the key; driftBand <= 1 is the exact key. margin offsets the bands
+// by that many band units (plancache.SignatureMargin) — the band-edge
+// hysteresis probe key: statistics within |margin| of a band boundary key,
+// under the matching-signed margin, exactly as their across-the-boundary
+// neighbor does under margin 0.
+func (s *Scenario) CacheKeyBandedMargin(alg Algorithm, driftBand, margin float64) (string, error) {
+	var key [plancache.KeyLen]byte
+	b, err := s.AppendCacheKey(key[:0], alg, driftBand, margin)
+	if err != nil {
+		return "", err
+	}
+	return string(b), nil
+}
+
+// AppendCacheKey appends the CacheKeyBandedMargin key's plancache.KeyLen
+// bytes to dst — the allocation-free form for hot paths that keep a
+// reusable buffer and look plans up with Cache.ProbeBytes.
+func (s *Scenario) AppendCacheKey(dst []byte, alg Algorithm, driftBand, margin float64) ([]byte, error) {
+	if err := s.check(); err != nil {
+		return dst, err
+	}
+	// Hash only the inputs this algorithm reads: TopC steers Algorithm B
+	// alone and the selectivity/size laws Algorithm D alone, so folding
+	// them into every key would split otherwise-identical AlgC jobs into
+	// spurious cache misses.
+	topC := 0
+	if alg == AlgB {
+		topC = s.topC()
+	}
+	selLaws, sizeLaws := s.SelLaws, s.SizeLaws
+	if alg != AlgD {
+		selLaws, sizeLaws = nil, nil
+	}
+	return plancache.AppendKeyMargin(dst, s.Cat, s.Query, s.Env, selLaws, sizeLaws,
+		s.Opts, topC, alg.String(), driftBand, margin), nil
 }

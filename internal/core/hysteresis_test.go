@@ -172,3 +172,36 @@ func TestHysteresisBatchDeterministic(t *testing.T) {
 		t.Fatal("cross-band dup got a different plan")
 	}
 }
+
+// TestHysteresisBatchAliasJoinsGroup: once a band-edge request rides along
+// with a same-batch group, a later request keyed like it joins that group
+// too — exactly as it would hit the written-through alias sequentially —
+// instead of computing its own plan and racing the alias Put. At 1.3 the
+// catalog shares the 1.1 step's band but sits too deep in it for the
+// ±BandMargin probes to reach the original band.
+func TestHysteresisBatchAliasJoinsGroup(t *testing.T) {
+	reqs := []Request{
+		edgeReq(edgeCat(t, 1)),
+		edgeReq(edgeCat(t, 1.1)),
+		edgeReq(edgeCat(t, 1.3)),
+	}
+	seq := NewOptimizer(nil, Config{Workers: 1})
+	batch := NewOptimizer(nil, Config{Workers: 4})
+	resps := batch.OptimizeBatch(reqs)
+	for i, r := range reqs {
+		want, err := seq.Optimize(r)
+		if err != nil || resps[i].Err != nil {
+			t.Fatalf("request %d: %v / %v", i, err, resps[i].Err)
+		}
+		if resps[i].CacheHit != want.CacheHit || resps[i].Plan.Signature() != want.Plan.Signature() {
+			t.Fatalf("request %d: batch hit=%v %s, sequential hit=%v %s", i,
+				resps[i].CacheHit, resps[i].Plan.Signature(), want.CacheHit, want.Plan.Signature())
+		}
+	}
+	if !resps[2].CacheHit {
+		t.Fatal("fixture: the deep in-band request must be served by the group")
+	}
+	if got, want := batch.CacheStats(), seq.CacheStats(); got.Hits != want.Hits || got.Misses != want.Misses {
+		t.Fatalf("batch counters %+v, sequential %+v", got, want)
+	}
+}

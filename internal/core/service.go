@@ -36,7 +36,7 @@ const (
 	// DefaultCacheSize is the plan-cache capacity of a new handle.
 	DefaultCacheSize = 4096
 	// BandMargin is the band-edge hysteresis width, in band units: after
-	// a counted miss on a banded key, the handle probes the two keys whose
+	// a primary-key miss on a banded key, the handle probes the two keys whose
 	// bands are offset by ±BandMargin before optimizing. A drift step of
 	// up to base^BandMargin (≈19% at the default base 2) that happens to
 	// cross a floor(log_base) boundary is thereby recognized as the
@@ -131,8 +131,8 @@ func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
 
 // Request is one optimization request against the handle: the query (one
 // of SQL, Query or Prepared), the uncertainty model, and the algorithm.
-// It unifies the legacy Scenario/BatchJob split: everything a Scenario
-// carried is either here or defaulted from the handle's Config.
+// Everything a Scenario carries is either here or defaulted from the
+// handle's Config.
 type Request struct {
 	// SQL is parsed and validated against the effective catalog on every
 	// call; use Prepare to pay parsing and validation once.
@@ -156,10 +156,6 @@ type Request struct {
 	SizeLaws map[string]dist.Dist
 	// Opts overrides the handle's plan-space options for this request.
 	Opts *optimizer.Options
-
-	// scenario short-circuits request resolution; set only by the legacy
-	// wrappers so the deprecated surface delegates through the handle.
-	scenario *Scenario
 }
 
 // Response is the outcome of one request. PlanReport is embedded, so the
@@ -221,58 +217,34 @@ func (o *Optimizer) resolveQuery(reqCat *catalog.Catalog, prep *Prepared, blk *q
 	return cat, blk, nil
 }
 
-// scenarioPool recycles the request-resolution Scenario structs of the
-// serving hot path: a warm Optimize resolves, serves from the cache and
-// releases without ever touching the heap. Legacy pre-built scenarios
-// (Request.scenario) are caller-owned and never pooled.
+// scenarioPool recycles the request-resolution Scenario structs: a warm
+// Optimize resolves, serves from the cache and releases without ever
+// touching the heap.
 var scenarioPool = sync.Pool{New: func() any { return new(Scenario) }}
 
 // keyBufPool recycles plancache.KeyLen-capacity cache-key buffers for the
-// byte-keyed lookups (Cache.GetBytes/ProbeBytes).
+// byte-keyed lookups (Cache.ProbeBytes).
 var keyBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, plancache.KeyLen)
 	return &b
 }}
+
+// hysteresis is the margin list of every lookup that gives none: the
+// ±BandMargin band-edge probe.
+var hysteresis = []float64{BandMargin}
 
 func releaseScenario(sc *Scenario) {
 	*sc = Scenario{}
 	scenarioPool.Put(sc)
 }
 
-// scenario resolves a request into the internal Scenario form, folding in
-// handle defaults and feedback hints. The returned scenario is heap-owned
-// by the caller (Simulate, Tournament — paths that hold it past a single
-// optimization); the hot paths use scenarioFor instead.
-func (o *Optimizer) scenario(req Request) (*Scenario, error) {
-	if req.scenario != nil {
-		return req.scenario, nil
-	}
-	sc := new(Scenario)
-	if err := o.fillScenario(sc, req); err != nil {
-		return nil, err
-	}
-	return sc, nil
-}
-
-// scenarioFor is scenario backed by scenarioPool: pooled reports whether
-// the caller must releaseScenario once the report is extracted (false for
-// the legacy caller-owned short circuit).
-func (o *Optimizer) scenarioFor(req Request) (sc *Scenario, pooled bool, err error) {
-	if req.scenario != nil {
-		return req.scenario, false, nil
-	}
-	sc = scenarioPool.Get().(*Scenario)
-	if err := o.fillScenario(sc, req); err != nil {
-		releaseScenario(sc)
-		return nil, false, err
-	}
-	return sc, true, nil
-}
-
-func (o *Optimizer) fillScenario(sc *Scenario, req Request) error {
+// scenarioFor resolves a request into a pooled Scenario, folding in
+// handle defaults and feedback hints. The caller releases it with
+// releaseScenario once done; reports never reference it.
+func (o *Optimizer) scenarioFor(req Request) (*Scenario, error) {
 	cat, blk, err := o.resolveQuery(req.Cat, req.Prepared, req.Query, req.SQL)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	opts := o.cfg.PlanSpace
 	if req.Opts != nil {
@@ -297,141 +269,150 @@ func (o *Optimizer) fillScenario(sc *Scenario, req Request) error {
 			opts.SizeHints = merged
 		}
 	}
+	sc := scenarioPool.Get().(*Scenario)
 	*sc = Scenario{
 		Cat: cat, Query: blk, Env: req.Env,
 		SelLaws: req.SelLaws, SizeLaws: req.SizeLaws,
 		Opts: opts, TopC: topC,
 	}
-	return nil
+	return sc, nil
 }
 
-// Optimize runs one request through the cache-then-optimize path.
+// found is where the lookup step found a request's plan.
+type found struct {
+	rep   PlanReport
+	group int  // same-batch group that computes the plan, or -1: rep is set
+	alias bool // found under a hysteresis probe key, not the primary key
+}
+
+// lookup is the request pipeline's one cache-lookup step, shared by
+// Optimize, Cached and OptimizeBatch's grouping pass. Without a cache it
+// reports a miss. Otherwise it builds the request's primary key once, into
+// *kb, and looks it up. On a miss with drift-banded keys it probes each
+// margin in order, both signs (none given: ±BandMargin): a drift step that
+// just crossed a floor(log_base) band boundary keys, under the
+// matching-signed margin, exactly as its neighbor did under margin 0. Each
+// key is checked in groups, the batch's same-batch groups by key (nil
+// outside a batch), before the cache.
+//
+// It records at most one counted event per request: a hit when the
+// primary key or a probe within BandMargin served the plan, a miss when
+// nothing did and fill is set. fill means the caller optimizes and Puts on
+// a miss; it also writes a cached hysteresis hit through under the primary
+// key, so the new band serves itself from then on. Without fill (Cached)
+// misses are left to the caller that goes on to compute, and a plan found
+// beyond BandMargin is served but not counted.
+func (o *Optimizer) lookup(sc *Scenario, alg Algorithm, kb *[]byte, margins []float64, groups map[string]int, fill bool) (found, bool, error) {
+	if o.cache == nil {
+		return found{}, false, nil
+	}
+	key, err := sc.AppendCacheKey((*kb)[:0], alg, o.band, 0)
+	*kb = key
+	if err != nil {
+		return found{}, false, err
+	}
+	if f, ok := o.find(key, groups); ok {
+		o.cache.Record(true)
+		return f, true, nil
+	}
+	if o.band > 1 {
+		if len(margins) == 0 {
+			margins = hysteresis
+		}
+		pb := keyBufPool.Get().(*[]byte)
+		defer keyBufPool.Put(pb)
+		for _, m := range margins {
+			for _, margin := range [2]float64{-m, m} {
+				probe, err := sc.AppendCacheKey((*pb)[:0], alg, o.band, margin)
+				*pb = probe
+				if err != nil || bytes.Equal(probe, key) {
+					continue
+				}
+				f, ok := o.find(probe, groups)
+				if !ok {
+					continue
+				}
+				f.alias = true
+				if fill && f.group < 0 {
+					o.cache.Put(string(key), f.rep)
+				}
+				if math.Abs(m) <= BandMargin {
+					o.cache.Record(true)
+				}
+				return f, true, nil
+			}
+		}
+	}
+	if fill {
+		o.cache.Record(false)
+	}
+	return found{}, false, nil
+}
+
+// find looks one key up: the same-batch groups first, then the cache.
+func (o *Optimizer) find(key []byte, groups map[string]int) (found, bool) {
+	if g, ok := groups[string(key)]; ok {
+		return found{group: g}, true
+	}
+	rep, ok := o.cache.ProbeBytes(key)
+	return found{rep: rep, group: -1}, ok
+}
+
+// Optimize runs one request through the cache-then-optimize path. The
+// cache key lives in a pooled buffer and the lookup is byte-keyed, so a
+// warm hit — the dominant serving outcome — allocates nothing; the key
+// string materializes only on the miss path's Put.
 func (o *Optimizer) Optimize(req Request) (Response, error) {
 	start := time.Now()
-	sc, pooled, err := o.scenarioFor(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return Response{Err: err}, err
 	}
-	rep, hit, err := o.runOne(sc, req.Alg)
-	if pooled {
-		releaseScenario(sc) // reports never reference the scenario
+	defer releaseScenario(sc)
+	kb := keyBufPool.Get().(*[]byte)
+	defer keyBufPool.Put(kb)
+	f, hit, err := o.lookup(sc, req.Alg, kb, nil, nil, true)
+	if err == nil && !hit {
+		if f.rep, err = sc.Optimize(req.Alg); err == nil && o.cache != nil {
+			o.cache.Put(string(*kb), f.rep)
+		}
 	}
 	if err != nil {
 		return Response{Err: err}, err
 	}
-	return Response{PlanReport: rep, CacheHit: hit, Elapsed: time.Since(start)}, nil
+	return Response{PlanReport: f.rep, CacheHit: hit, Elapsed: time.Since(start)}, nil
 }
 
 // Cached serves a request from the plan cache alone: no optimization is
 // ever started, so the call is safe on any hot path that must not pay
 // cold-plan compute — the resilience layer's budget-denied and
-// breaker-open serving. The primary banded key is probed first, then each
-// margin is probed with both signs in band units (nearest first), so a
-// caller can widen the search to neighboring drift bands and serve the
-// *nearest* cached plan for a tenant whose statistics have walked away.
-// With no margins given, the band-edge hysteresis margin is probed, which
-// makes a Cached hit equivalent to "Optimize would have hit". All probes
-// are uncounted (plancache.Probe): a denied request must not distort the
-// hit-rate trajectory the cache stats track. Nothing is re-cached — a
-// far-band plan served under pressure must not poison the primary band.
+// breaker-open serving. It is Optimize's lookup step without the compute:
+// the primary key first, then each margin with both signs in band units
+// (nearest first), so a caller can widen the search to neighboring drift
+// bands and serve the *nearest* cached plan for a tenant whose statistics
+// have walked away. With no margins given, the band-edge hysteresis margin
+// is probed, which makes a Cached hit equivalent to "Optimize would have
+// hit". A hit on the primary key or within BandMargin counts as a cache
+// hit, exactly as Optimize counts it; a miss is not counted (the caller
+// that goes on to Optimize counts it there), nor is a plan found further
+// out. Nothing is stored — a far-band plan served under pressure must not
+// poison the primary band.
 func (o *Optimizer) Cached(req Request, margins ...float64) (Response, bool) {
-	if o.cache == nil {
-		return Response{}, false
-	}
-	sc, pooled, err := o.scenarioFor(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return Response{Err: err}, false
 	}
-	if pooled {
-		defer releaseScenario(sc)
-	}
+	defer releaseScenario(sc)
 	kb := keyBufPool.Get().(*[]byte)
 	defer keyBufPool.Put(kb)
-	key, err := sc.AppendCacheKey((*kb)[:0], req.Alg, o.band, 0)
-	*kb = key
+	f, hit, err := o.lookup(sc, req.Alg, kb, margins, nil, false)
 	if err != nil {
 		return Response{Err: err}, false
 	}
-	if rep, ok := o.cache.ProbeBytes(key); ok {
-		return Response{PlanReport: rep, CacheHit: true}, true
-	}
-	if o.band <= 1 {
+	if !hit {
 		return Response{}, false
 	}
-	if len(margins) == 0 {
-		margins = []float64{BandMargin}
-	}
-	pb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(pb)
-	for _, m := range margins {
-		for _, margin := range [2]float64{-m, m} {
-			probe, err := sc.AppendCacheKey((*pb)[:0], req.Alg, o.band, margin)
-			*pb = probe
-			if err != nil || bytes.Equal(probe, key) {
-				continue
-			}
-			if rep, ok := o.cache.ProbeBytes(probe); ok {
-				return Response{PlanReport: rep, CacheHit: true}, true
-			}
-		}
-	}
-	return Response{}, false
-}
-
-// runOne serves one scenario from the plan cache or optimizes and caches.
-// The cache key lives in a pooled buffer and the lookup is byte-keyed, so
-// a warm hit — the dominant serving outcome — allocates nothing; the key
-// string materializes only on the miss path's Put.
-func (o *Optimizer) runOne(sc *Scenario, alg Algorithm) (PlanReport, bool, error) {
-	if o.cache == nil {
-		rep, err := sc.Optimize(alg)
-		return rep, false, err
-	}
-	kb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(kb)
-	key, err := sc.AppendCacheKey((*kb)[:0], alg, o.band, 0)
-	*kb = key
-	if err != nil {
-		return PlanReport{}, false, err
-	}
-	if rep, ok := o.cache.GetBytes(key); ok {
-		return rep, true, nil
-	}
-	if rep, ok := o.probeAdjacent(sc, alg, key); ok {
-		return rep, true, nil
-	}
-	rep, err := sc.Optimize(alg)
-	if err != nil {
-		return PlanReport{}, false, err
-	}
-	o.cache.Put(string(key), rep)
-	return rep, false, nil
-}
-
-// probeAdjacent is the band-edge hysteresis: after a counted miss on a
-// banded primary key, try the two ±BandMargin probe keys — a drift step
-// that just crossed a floor(log_base) band boundary keys, under the
-// matching-signed margin, exactly as its neighbor did under margin 0. A
-// found report is re-cached under the primary key so the new band serves
-// itself from then on.
-func (o *Optimizer) probeAdjacent(sc *Scenario, alg Algorithm, primary []byte) (PlanReport, bool) {
-	if o.band <= 1 {
-		return PlanReport{}, false
-	}
-	pb := keyBufPool.Get().(*[]byte)
-	defer keyBufPool.Put(pb)
-	for _, margin := range [2]float64{-BandMargin, BandMargin} {
-		probe, err := sc.AppendCacheKey((*pb)[:0], alg, o.band, margin)
-		*pb = probe
-		if err != nil || bytes.Equal(probe, primary) {
-			continue
-		}
-		if rep, ok := o.cache.ProbeBytes(probe); ok {
-			o.cache.Put(string(primary), rep)
-			return rep, true
-		}
-	}
-	return PlanReport{}, false
+	return Response{PlanReport: f.rep, CacheHit: true}, true
 }
 
 // OptimizeBatch optimizes every request across the handle's worker pool
@@ -448,161 +429,106 @@ func (o *Optimizer) probeAdjacent(sc *Scenario, alg Algorithm, primary []byte) (
 // under exact keys, and independent of Workers under either key scheme.
 func (o *Optimizer) OptimizeBatch(reqs []Request) []Response {
 	out := make([]Response, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
 	scs := make([]*Scenario, len(reqs))
-	pooled := make([]bool, len(reqs))
+	workers := pool.Workers(o.cfg.Workers, len(reqs))
 	for i := range reqs {
-		sc, p, err := o.scenarioFor(reqs[i])
+		sc, err := o.scenarioFor(reqs[i])
 		if err != nil {
 			out[i] = Response{Err: err}
 			continue
 		}
-		scs[i], pooled[i] = sc, p
+		if workers > 1 && sc.Opts.Workers == 0 {
+			// The batch pool already saturates the machine; letting A/B's
+			// per-bucket fan-out also default to GOMAXPROCS would stack
+			// P×P CPU-bound goroutines for no added parallelism. The
+			// worker count is not part of the cache key.
+			sc.Opts.Workers = 1
+		}
+		scs[i] = sc
 	}
 	defer func() {
-		for i, sc := range scs {
-			if pooled[i] && sc != nil {
+		for _, sc := range scs {
+			if sc != nil {
 				releaseScenario(sc)
 			}
 		}
 	}()
-	workers := pool.Workers(o.cfg.Workers, len(reqs))
-	damp := func(sc *Scenario) *Scenario {
-		if workers > 1 && sc.Opts.Workers == 0 {
-			// The batch pool already saturates the machine; letting A/B's
-			// per-bucket fan-out also default to GOMAXPROCS would stack
-			// P×P CPU-bound goroutines for no added parallelism. Shallow-
-			// copy rather than mutate — scenarios may be shared.
-			cp := *sc
-			cp.Opts.Workers = 1
-			return &cp
+	optimize := func(i int) Response {
+		start := time.Now()
+		rep, err := scs[i].Optimize(reqs[i].Alg)
+		if err != nil {
+			return Response{Err: err}
 		}
-		return sc
+		return Response{PlanReport: rep, Elapsed: time.Since(start)}
 	}
 	if o.cache == nil {
 		pool.Run(len(reqs), workers, func(i int) error {
-			if scs[i] == nil {
-				return nil
-			}
-			start := time.Now()
-			rep, err := damp(scs[i]).Optimize(reqs[i].Alg)
-			if err != nil {
-				out[i] = Response{Err: err}
-			} else {
-				out[i] = Response{PlanReport: rep, Elapsed: time.Since(start)}
+			if scs[i] != nil {
+				out[i] = optimize(i)
 			}
 			return nil
 		})
 		return out
 	}
-	// Group requests by cache key in first-appearance order. Band-edge
-	// hysteresis runs here, in this sequential pass — never in the
-	// workers — so which group a near-boundary request joins (and thus the
-	// whole batch outcome) is independent of worker scheduling.
+	// Group requests by cache key in first-appearance order. The lookup
+	// step — hysteresis included — runs here, in this sequential pass,
+	// never in the workers, so which group a near-boundary request joins
+	// (and thus the whole batch outcome) is independent of worker
+	// scheduling. Cache hits are served right here; each group's worker
+	// computes and stores one plan for its representative and duplicates.
 	type group struct {
+		key     string
 		rep     int
 		dups    []int
-		dupKeys []string // parallel to dups; non-empty = cross-band alias
+		aliases []string // cross-band dups' own keys, written through too
 	}
-	var keys []string
-	groups := make(map[string]*group)
+	var groups []*group
+	index := make(map[string]int)
 	kb := keyBufPool.Get().(*[]byte)
-	pb := keyBufPool.Get().(*[]byte)
+	defer keyBufPool.Put(kb)
 	for i := range reqs {
 		if scs[i] == nil {
 			continue
 		}
-		k, err := scs[i].AppendCacheKey((*kb)[:0], reqs[i].Alg, o.band, 0)
-		*kb = k
-		if err != nil {
-			out[i] = Response{Err: err}
-			if pooled[i] {
-				releaseScenario(scs[i])
-				pooled[i] = false
-			}
-			scs[i] = nil
-			continue
-		}
-		if g, ok := groups[string(k)]; ok {
-			g.dups = append(g.dups, i)
-			g.dupKeys = append(g.dupKeys, "")
-			continue
-		}
-		joined := false
-		// Hysteresis only applies on a primary-key miss — a request whose
-		// own band is already cached must get *that* plan (exactly what a
-		// sequential Optimize would return), never a neighbor's. The gate
-		// is an uncounted Probe; the group's worker does the counted Get.
-		if o.band > 1 {
-			if _, cached := o.cache.ProbeBytes(k); !cached {
-				for _, margin := range [2]float64{-BandMargin, BandMargin} {
-					probe, err := scs[i].AppendCacheKey((*pb)[:0], reqs[i].Alg, o.band, margin)
-					*pb = probe
-					if err != nil || bytes.Equal(probe, k) {
-						continue
-					}
-					// A same-batch group across the boundary: ride along
-					// as a cross-band dup (the answer is written through
-					// under this request's own key below).
-					if g, ok := groups[string(probe)]; ok {
-						g.dups = append(g.dups, i)
-						g.dupKeys = append(g.dupKeys, string(k))
-						joined = true
-						break
-					}
-					// A prior-batch entry across the boundary: alias it to
-					// the primary key so this group's worker (and every
-					// future request in the new band) hits.
-					if rep, ok := o.cache.ProbeBytes(probe); ok {
-						o.cache.Put(string(k), rep)
-						break
-					}
-				}
-			}
-		}
-		if joined {
-			continue
-		}
-		key := string(k)
-		groups[key] = &group{rep: i}
-		keys = append(keys, key)
-	}
-	keyBufPool.Put(kb)
-	keyBufPool.Put(pb)
-	pool.Run(len(keys), pool.Workers(workers, len(keys)), func(gi int) error {
-		key := keys[gi]
-		g := groups[key]
-		i := g.rep
 		start := time.Now()
-		if rep, ok := o.cache.Get(key); ok {
-			out[i] = Response{PlanReport: rep, CacheHit: true, Elapsed: time.Since(start)}
-		} else {
-			rep, err := damp(scs[i]).Optimize(reqs[i].Alg)
-			if err != nil {
-				out[i] = Response{Err: err}
-			} else {
-				o.cache.Put(key, rep)
-				out[i] = Response{PlanReport: rep, Elapsed: time.Since(start)}
+		f, hit, err := o.lookup(scs[i], reqs[i].Alg, kb, nil, index, true)
+		switch {
+		case err != nil:
+			out[i] = Response{Err: err}
+		case !hit:
+			key := string(*kb)
+			index[key] = len(groups)
+			groups = append(groups, &group{key: key, rep: i})
+		case f.group >= 0:
+			g := groups[f.group]
+			g.dups = append(g.dups, i)
+			if f.alias {
+				// Index the alias too: a later request keyed like this
+				// one joins the group, as it would hit sequentially.
+				key := string(*kb)
+				index[key] = f.group
+				g.aliases = append(g.aliases, key)
 			}
+		default:
+			out[i] = Response{PlanReport: f.rep, CacheHit: true}
 		}
-		for di, d := range g.dups {
-			if out[i].Err != nil {
-				out[d] = out[i]
-				continue
+		out[i].Elapsed = time.Since(start)
+	}
+	pool.Run(len(groups), pool.Workers(workers, len(groups)), func(gi int) error {
+		g := groups[gi]
+		r := optimize(g.rep)
+		r.Elapsed += out[g.rep].Elapsed
+		out[g.rep] = r
+		if r.Err == nil {
+			o.cache.Put(g.key, r.PlanReport)
+			for _, k := range g.aliases {
+				o.cache.Put(k, r.PlanReport)
 			}
-			dupStart := time.Now()
-			if rep, ok := o.cache.Get(key); ok { // counts the duplicate's lookup
-				out[d] = Response{PlanReport: rep, CacheHit: true, Elapsed: time.Since(dupStart)}
-			} else { // evicted under pressure mid-batch: reuse the answer
-				out[d] = out[i]
-			}
-			// Cross-band alias: write the shared answer through under the
-			// dup's own key so its band serves itself from now on.
-			if g.dupKeys[di] != "" {
-				o.cache.Put(g.dupKeys[di], out[d].PlanReport)
-			}
+			r = Response{PlanReport: r.PlanReport, CacheHit: true}
+		}
+		for _, d := range g.dups {
+			r.Elapsed = out[d].Elapsed
+			out[d] = r
 		}
 		return nil
 	})
@@ -645,20 +571,22 @@ func (o *Optimizer) Observe(fb Feedback) error {
 // Simulate Monte-Carlo-executes a plan's cost model under the request's
 // environment (the request only needs a query and an environment).
 func (o *Optimizer) Simulate(req Request, p *plan.Node, runs int, seed int64) (envsim.RunStats, error) {
-	sc, err := o.scenario(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return envsim.RunStats{}, err
 	}
+	defer releaseScenario(sc)
 	return sc.Simulate(p, runs, seed)
 }
 
 // Tournament runs a common-random-numbers realized-cost comparison of the
 // given reports' plans under the request's environment.
 func (o *Optimizer) Tournament(req Request, reports []PlanReport, runs int, seed int64) (envsim.TournamentResult, error) {
-	sc, err := o.scenario(req)
+	sc, err := o.scenarioFor(req)
 	if err != nil {
 		return envsim.TournamentResult{}, err
 	}
+	defer releaseScenario(sc)
 	return sc.Tournament(reports, runs, seed)
 }
 

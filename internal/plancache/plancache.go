@@ -15,7 +15,6 @@ package plancache
 
 import (
 	"container/list"
-	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -26,7 +25,6 @@ const shardCount = 16 // power of two; low-bits shard selection
 // The zero value is not usable; construct with New.
 type Cache[V any] struct {
 	shards    [shardCount]shard[V]
-	seed      maphash.Seed
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
@@ -51,7 +49,7 @@ func New[V any](capacity int) *Cache[V] {
 	if perShard < 1 {
 		perShard = 1
 	}
-	c := &Cache[V]{seed: maphash.MakeSeed()}
+	c := &Cache[V]{}
 	for i := range c.shards {
 		c.shards[i].cap = perShard
 		c.shards[i].items = make(map[string]*list.Element)
@@ -60,72 +58,33 @@ func New[V any](capacity int) *Cache[V] {
 	return c
 }
 
-func (c *Cache[V]) shardOf(key string) *shard[V] {
-	return &c.shards[maphash.String(c.seed, key)&(shardCount-1)]
-}
+// shardPrefix bounds how many leading key bytes pick the shard.
+const shardPrefix = 8
 
-// shardOfBytes must agree with shardOf for equal key contents so string
-// and byte lookups interleave freely; maphash guarantees Bytes(seed, b)
-// == String(seed, string(b)).
-func (c *Cache[V]) shardOfBytes(key []byte) *shard[V] {
-	return &c.shards[maphash.Bytes(c.seed, key)&(shardCount-1)]
-}
-
-// Get returns the cached value for key and whether it was present, marking
-// the entry most-recently-used on a hit.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry[V]).val, true
+// shardOf picks a key's shard with 32-bit FNV-1a over its leading bytes.
+// Keys are hex SHA-256 digests (Signature), so eight hex digits already
+// spread them evenly, at a fixed cost whatever the key length. The
+// function is fixed, not seeded per cache: capacity is per shard, so a
+// seeded choice would make evictions, and with them the hit counters,
+// differ from run to run under cache pressure.
+func shardOf[V any, K string | []byte](c *Cache[V], key K) *shard[V] {
+	h := uint32(2166136261)
+	for i := 0; i < len(key) && i < shardPrefix; i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
 	}
-	c.misses.Add(1)
-	var zero V
-	return zero, false
+	return &c.shards[h&(shardCount-1)]
 }
 
-// Probe is Get without touching the hit/miss counters: the lookup used by
-// band-edge hysteresis, which speculatively tries adjacent-band keys after
-// a counted miss. Counting those speculative lookups would dilute the hit
-// rate the cache reports for its *primary* keys. A found entry is still
-// marked most-recently-used — serving a plan keeps it warm however it was
-// found.
-func (c *Cache[V]) Probe(key string) (V, bool) {
-	s := c.shardOf(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		s.order.MoveToFront(el)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	var zero V
-	return zero, false
-}
-
-// GetBytes is Get keyed by the raw bytes of a key, for callers that build
-// keys in a reusable buffer (AppendKey): the map lookup's string
-// conversion stays on the stack, so a hit performs zero heap allocations.
-// The key bytes are not retained.
-func (c *Cache[V]) GetBytes(key []byte) (V, bool) {
-	s := c.shardOfBytes(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[string(key)]; ok {
-		s.order.MoveToFront(el)
-		c.hits.Add(1)
-		return el.Value.(*lruEntry[V]).val, true
-	}
-	c.misses.Add(1)
-	var zero V
-	return zero, false
-}
-
-// ProbeBytes is Probe keyed by raw key bytes (see GetBytes).
+// ProbeBytes returns the value cached under key and whether it was
+// present, marking the entry most-recently-used on a hit. It moves no
+// counter: one request may probe several keys (band-edge hysteresis tries
+// the adjacent-band keys), so the caller records the request's single
+// outcome with Record. The key bytes are not retained, and the map
+// lookup's string conversion stays on the stack, so a hit allocates
+// nothing.
 func (c *Cache[V]) ProbeBytes(key []byte) (V, bool) {
-	s := c.shardOfBytes(key)
+	s := shardOf(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[string(key)]; ok {
@@ -134,12 +93,21 @@ func (c *Cache[V]) ProbeBytes(key []byte) (V, bool) {
 	}
 	var zero V
 	return zero, false
+}
+
+// Record counts one request's lookup outcome: a hit or a miss.
+func (c *Cache[V]) Record(hit bool) {
+	if hit {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 }
 
 // Put stores key→val, evicting the shard's least-recently-used entry when
 // the shard is full. Storing an existing key refreshes its value and recency.
 func (c *Cache[V]) Put(key string, val V) {
-	s := c.shardOf(key)
+	s := shardOf(c, key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.items[key]; ok {
@@ -179,7 +147,7 @@ type Stats struct {
 	// looks healthy while evictions climb means the working set exceeds
 	// the capacity — entries are cycling, not resident.
 	Evictions uint64
-	// ShardSizes is the per-shard occupancy. Keys hash uniformly, so a
+	// ShardSizes is the per-shard occupancy. Keys spread uniformly, so a
 	// heavily skewed profile indicates a pathological key population
 	// (e.g. everything collapsing into one drift band).
 	ShardSizes []int

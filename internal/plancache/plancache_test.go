@@ -12,18 +12,25 @@ import (
 	"lecopt/internal/workload"
 )
 
+// get is a counted lookup, the way a request records its one outcome.
+func get(c *Cache[int], key string) (int, bool) {
+	v, ok := c.ProbeBytes([]byte(key))
+	c.Record(ok)
+	return v, ok
+}
+
 func TestGetPutRoundTrip(t *testing.T) {
 	c := New[int](64)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := get(c, "a"); ok {
 		t.Fatal("empty cache reported a hit")
 	}
 	c.Put("a", 1)
 	c.Put("b", 2)
-	if v, ok := c.Get("a"); !ok || v != 1 {
+	if v, ok := get(c, "a"); !ok || v != 1 {
 		t.Fatalf("Get(a) = %d, %v", v, ok)
 	}
 	c.Put("a", 10) // refresh
-	if v, _ := c.Get("a"); v != 10 {
+	if v, _ := get(c, "a"); v != 10 {
 		t.Fatalf("refreshed Get(a) = %d", v)
 	}
 	if c.Len() != 2 {
@@ -41,11 +48,11 @@ func TestGetPutRoundTrip(t *testing.T) {
 // sameShardKeys returns n distinct keys that hash to the same shard.
 func sameShardKeys(t *testing.T, c *Cache[int], n int) []string {
 	t.Helper()
-	target := c.shardOf("k0")
+	target := shardOf(c, "k0")
 	keys := []string{"k0"}
 	for i := 1; len(keys) < n; i++ {
 		k := fmt.Sprintf("k%d", i)
-		if c.shardOf(k) == target {
+		if shardOf(c, k) == target {
 			keys = append(keys, k)
 		}
 	}
@@ -57,10 +64,10 @@ func TestLRUEvictionWithinShard(t *testing.T) {
 	keys := sameShardKeys(t, c, 3)
 	c.Put(keys[0], 0)
 	c.Put(keys[1], 1) // evicts keys[0]
-	if _, ok := c.Get(keys[0]); ok {
+	if _, ok := get(c, keys[0]); ok {
 		t.Fatal("oldest entry not evicted")
 	}
-	if v, ok := c.Get(keys[1]); !ok || v != 1 {
+	if v, ok := get(c, keys[1]); !ok || v != 1 {
 		t.Fatal("newest entry missing")
 	}
 }
@@ -70,12 +77,12 @@ func TestLRURecencyOnGet(t *testing.T) {
 	keys := sameShardKeys(t, c, 3)
 	c.Put(keys[0], 0)
 	c.Put(keys[1], 1)
-	c.Get(keys[0])    // make keys[0] most recent
+	get(c, keys[0])   // make keys[0] most recent
 	c.Put(keys[2], 2) // should evict keys[1]
-	if _, ok := c.Get(keys[0]); !ok {
+	if _, ok := get(c, keys[0]); !ok {
 		t.Fatal("recently used entry evicted")
 	}
-	if _, ok := c.Get(keys[1]); ok {
+	if _, ok := get(c, keys[1]); ok {
 		t.Fatal("least recently used entry survived")
 	}
 }
@@ -83,7 +90,7 @@ func TestLRURecencyOnGet(t *testing.T) {
 func TestTinyCapacityStillCaches(t *testing.T) {
 	c := New[int](1)
 	c.Put("x", 7)
-	if v, ok := c.Get("x"); !ok || v != 7 {
+	if v, ok := get(c, "x"); !ok || v != 7 {
 		t.Fatal("capacity-1 cache dropped its only entry")
 	}
 }
@@ -98,7 +105,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("key-%d", i%64)
 				c.Put(k, i)
-				c.Get(k)
+				get(c, k)
 			}
 		}(g)
 	}
@@ -233,5 +240,29 @@ func TestSignatureDriftBand(t *testing.T) {
 		optimizer.Options{SizeHints: map[string]float64{"t0+t1": 42}}, 3, "algorithm-c", 0)
 	if hinted != h2 {
 		t.Fatal("hinted signature not deterministic")
+	}
+}
+
+// TestShardingDeterministic: shard choice is a fixed function of the key,
+// so two caches fed the same sequence under eviction pressure evict the
+// same entries and report equal counters and occupancy.
+func TestShardingDeterministic(t *testing.T) {
+	run := func() Stats {
+		c := New[int](32)
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 2000; i++ {
+			k := fmt.Sprintf("%064x", rng.Intn(200))
+			if _, ok := get(c, k); !ok {
+				c.Put(k, i)
+			}
+		}
+		return c.Stats()
+	}
+	a, b := run(), run()
+	if a.Evictions == 0 {
+		t.Fatal("sequence must evict to exercise per-shard capacity")
+	}
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("same sequence, different stats:\n%+v\n%+v", a, b)
 	}
 }

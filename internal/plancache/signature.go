@@ -15,7 +15,7 @@ import (
 )
 
 // KeyLen is the byte length of every cache key: a hex-encoded SHA-256
-// digest. Callers that look keys up with Cache.GetBytes/ProbeBytes can
+// digest. Callers that look keys up with Cache.ProbeBytes can
 // keep a reusable [KeyLen]-capacity buffer and avoid allocating per
 // lookup (AppendKey / AppendKeyMargin).
 const KeyLen = 2 * sha256.Size

@@ -257,15 +257,28 @@ func (w *Wrapper) Do(req Request) Outcome {
 			}
 		}
 	default: // closed
-		if resp, ok := w.opt.Cached(req.Core); ok {
-			out = Outcome{Response: resp, Decision: DecisionHit, Served: w.cfg.Latency.Hit}
+		// An admitted request goes straight to Optimize, whose lookup step
+		// serves a hit (band-edge hysteresis included) and computes a miss.
+		// A denied request never starts cold work: the cache alone serves it.
+		var resp core.Response
+		var err error
+		if admitted {
+			resp, err = w.opt.Optimize(req.Core)
+		} else {
+			resp, _ = w.opt.Cached(req.Core)
+		}
+		out.Response = resp
+		switch {
+		case resp.CacheHit:
+			out.Decision = DecisionHit
+			out.Served = w.cfg.Latency.Hit
 			churn = lastSig != "" && lastSig != resp.Plan.Signature()
 			recordChurn, settlePlan = true, true
-		} else if !admitted {
-			// A denied request was still a primary-band cache miss, so it
-			// records as churn: an overloaded tenant whose drift keeps
-			// missing converges to the breaker's degraded serving instead
-			// of denying cold work forever.
+		case !admitted:
+			// A denied request that misses its own band records as churn:
+			// an overloaded tenant whose drift keeps missing converges to
+			// the breaker's degraded serving instead of denying cold work
+			// forever.
 			churn, recordChurn = true, true
 			if resp, ok := w.opt.Cached(req.Core, nearestMargins...); ok {
 				out = Outcome{Response: resp, Decision: DecisionDeniedCache, Served: w.cfg.Latency.Hit}
@@ -274,26 +287,13 @@ func (w *Wrapper) Do(req Request) Outcome {
 				resp, err := w.degraded(req)
 				out = Outcome{Response: resp, Decision: DecisionDeniedDegraded, Served: w.cfg.Latency.Degraded, Degraded: err == nil}
 			}
-		} else {
-			resp, err := w.opt.Optimize(req.Core)
-			out.Response = resp
-			if err == nil {
-				settlePlan = true
-				if resp.CacheHit {
-					// The margin-probe hysteresis (or a concurrent fill)
-					// landed a hit the fast path missed: a hit is a hit.
-					out.Decision = DecisionHit
-					out.Served = w.cfg.Latency.Hit
-					churn = lastSig != "" && lastSig != resp.Plan.Signature()
-					recordChurn = true
-				} else {
-					cold, churn, recordChurn = true, true, true
-					primaryDur = jittered(w.coldCost(resp), req.PrimaryJitter)
-					hedgeDur = jittered(w.coldCost(resp), req.HedgeJitter)
-				}
-			} else {
-				out.Decision = DecisionCold
-			}
+		case err != nil:
+			out.Decision = DecisionCold
+		default:
+			settlePlan = true
+			cold, churn, recordChurn = true, true, true
+			primaryDur = jittered(w.coldCost(resp), req.PrimaryJitter)
+			hedgeDur = jittered(w.coldCost(resp), req.HedgeJitter)
 		}
 	}
 	out.Breaker = phase.String()

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"testing"
+
+	"lecopt/internal/resilience"
 )
 
 // smallSpec is a fast fleet for tests: few tenants, few groups, short
@@ -181,5 +183,30 @@ func TestRunReportShape(t *testing.T) {
 	low, high := rep.Levels[0], rep.Levels[1]
 	if high.BudgetDenials < low.BudgetDenials {
 		t.Fatalf("denials fell with load: %d -> %d", low.BudgetDenials, high.BudgetDenials)
+	}
+}
+
+// TestPlanCacheCountsHitDecisions: every request the wrapper serves as a
+// "hit" was served by the plan cache's lookup step, so the cache's own hit
+// counter can never fall below the level's hit decisions.
+func TestPlanCacheCountsHitDecisions(t *testing.T) {
+	f := newTestFleet(t, smallSpec(t), 42)
+	rep, err := f.Run(RunConfig{Requests: 300, Seed: 99})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, lvl := range rep.Levels {
+		hits := 0
+		for _, d := range lvl.Decisions {
+			if d.Decision == resilience.DecisionHit {
+				hits = d.Count
+			}
+		}
+		if hits == 0 {
+			t.Fatalf("level %d served no hits", i)
+		}
+		if lvl.PlanCacheHits < uint64(hits) {
+			t.Fatalf("level %d: plan cache counted %d hits for %d hit decisions", i, lvl.PlanCacheHits, hits)
+		}
 	}
 }
