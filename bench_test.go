@@ -132,21 +132,53 @@ func BenchmarkTopCCombine(b *testing.B) {
 	}
 }
 
-// BenchmarkAlgorithmC measures one full LEC optimization across query
-// sizes — the headline "b times a standard optimization" cost.
-func BenchmarkAlgorithmC(b *testing.B) {
+// dpBenchCase is one query the join-DP micro-benchmarks optimize.
+type dpBenchCase struct {
+	name string
+	sc   workload.Scenario
+}
+
+// dpBenchCases generates the DP micro-benchmark queries at 4, 6 and 8
+// tables: chain, star and clique join graphs without ORDER BY, and a
+// chain with one. Stars and cliques tie on symmetric join costs at every
+// rank, and the ORDER BY block keeps a second order slot live, so the
+// cases cover the signature tie-break and the order path, not only the
+// cost kernels.
+func dpBenchCases(b *testing.B) []dpBenchCase {
+	b.Helper()
+	var out []dpBenchCase
 	for _, n := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("tables=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			sc, err := workload.Generate(workload.DefaultSpec(n, workload.Chain), rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			mem := dist.MustNew([]float64{64, 256, 1024, 4096}, []float64{1, 1, 1, 1})
+		for _, shape := range []workload.Shape{workload.Chain, workload.Star, workload.Clique} {
+			spec := workload.DefaultSpec(n, shape)
+			spec.OrderByProb = 0
+			out = append(out, dpBenchCase{fmt.Sprintf("%s/tables=%d", shape, n), genBenchScenario(b, spec)})
+		}
+		spec := workload.DefaultSpec(n, workload.Chain)
+		spec.OrderByProb = 1
+		out = append(out, dpBenchCase{fmt.Sprintf("%s+orderby/tables=%d", workload.Chain, n), genBenchScenario(b, spec)})
+	}
+	return out
+}
+
+func genBenchScenario(b *testing.B, spec workload.Spec) workload.Scenario {
+	b.Helper()
+	sc, err := workload.Generate(spec, rand.New(rand.NewSource(3)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return sc
+}
+
+// BenchmarkAlgorithmC measures one full LEC optimization across query
+// sizes and join-graph shapes — the headline "b times a standard
+// optimization" cost.
+func BenchmarkAlgorithmC(b *testing.B) {
+	mem := dist.MustNew([]float64{64, 256, 1024, 4096}, []float64{1, 1, 1, 1})
+	for _, bc := range dpBenchCases(b) {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := optimizer.AlgorithmC(sc.Cat, sc.Block, optimizer.Options{}, mem); err != nil {
+				if _, err := optimizer.AlgorithmC(bc.sc.Cat, bc.sc.Block, optimizer.Options{}, mem); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,19 +186,14 @@ func BenchmarkAlgorithmC(b *testing.B) {
 	}
 }
 
-// BenchmarkLSC is the classical baseline for comparison with AlgorithmC.
+// BenchmarkLSC is the classical baseline for comparison with AlgorithmC,
+// over the same queries.
 func BenchmarkLSC(b *testing.B) {
-	for _, n := range []int{4, 6, 8} {
-		b.Run(fmt.Sprintf("tables=%d", n), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			sc, err := workload.Generate(workload.DefaultSpec(n, workload.Chain), rng)
-			if err != nil {
-				b.Fatal(err)
-			}
+	for _, bc := range dpBenchCases(b) {
+		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := optimizer.LSC(sc.Cat, sc.Block, optimizer.Options{}, 1024); err != nil {
+				if _, err := optimizer.LSC(bc.sc.Cat, bc.sc.Block, optimizer.Options{}, 1024); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -17,12 +17,13 @@ import (
 )
 
 // missPathAllocBudget bounds the allocations of one cache-miss Optimize
-// (request resolution + cache key + full DP + report). Measured at 264
-// allocs/op on the reference corpus (down from 1324 before the pooled
-// scratch arenas — a 5x cut); the budget leaves ~1.5x headroom so routine
-// churn does not trip it while an accidental return to per-node heap
-// allocation (which costs hundreds per query) still does.
-const missPathAllocBudget = 400
+// (request resolution + cache key + full DP + report). Measured at 73
+// allocs/op on the reference corpus (264 while exact score ties built
+// both plans' signature strings, 1324 before the pooled scratch arenas);
+// the budget leaves ~1.6x headroom so routine churn does not trip it
+// while a tie-break that builds strings again (~190 per query here) or a
+// return to per-node heap allocation (hundreds) still does.
+const missPathAllocBudget = 120
 
 // hotPathRequests builds the mixed 2-5 table request corpus the
 // allocation gates and benchmarks share.

@@ -195,7 +195,7 @@ func (e *Engine) pageNLJoin(pool *buffer.Pool, outer, inner *storage.Relation, o
 // per outer tuple so the output keeps the *outer's* row order. The order
 // matters for correctness, not just accounting: the optimizer's order
 // propagation says nested loops preserve the outer's order (dp.go
-// joinOutputOrder), and an index-ordered outer may be satisfying the
+// joinOutput), and an index-ordered outer may be satisfying the
 // query's ORDER BY with no sort enforcer above.
 func (e *Engine) pageNLJoinPinned(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
 	var outerTuples []storage.Tuple
@@ -236,7 +236,7 @@ func (e *Engine) pageNLJoinPinned(pool *buffer.Pool, outer, inner *storage.Relat
 // per block: |A| + ⌈|A|/(M-2)⌉·|B| by construction. Matches are buffered
 // per outer tuple within each block so the output keeps the outer's row
 // order — the property the optimizer's order propagation assigns to
-// nested loops (dp.go joinOutputOrder), which an index-ordered outer may
+// nested loops (dp.go joinOutput), which an index-ordered outer may
 // be relying on to satisfy the query's ORDER BY without a sort.
 func (e *Engine) blockNLJoin(pool *buffer.Pool, outer, inner *storage.Relation, oc, ic int, result *storage.Relation) error {
 	blockPages := pool.Capacity() - 2

@@ -131,8 +131,7 @@ func AlgorithmA(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	}
 	best := -1
 	for i := range cands {
-		if best < 0 || better(cands[i].ec, cands[i].res.Plan.Signature(),
-			cands[best].ec, cands[best].res.Plan.Signature()) {
+		if best < 0 || better(cands[i].ec, cands[i].res.Plan, cands[best].ec, cands[best].res.Plan) {
 			best = i
 		}
 	}
@@ -203,8 +202,7 @@ func AlgorithmB(cat *catalog.Catalog, blk *query.Block, opts Options, mem dist.D
 	}
 	best := -1
 	for i := range cands {
-		if best < 0 || better(cands[i].ec, cands[i].e.node.Signature(),
-			cands[best].ec, cands[best].e.node.Signature()) {
+		if best < 0 || better(cands[i].ec, cands[i].e.node, cands[best].ec, cands[best].e.node) {
 			best = i
 		}
 	}
@@ -264,10 +262,10 @@ func (c *ctx) dpTopC(s scorer, topC int) ([]entry, int, error) {
 							for _, p := range pairs {
 								le, re := left.entries[p[0]], right.entries[p[1]]
 								outPages := c.joinOutPages(mask, c.clampPages(le.pages*re.pages*sigma))
-								order := c.joinOutputOrder(m, j, rest, le.order)
+								order, osl := c.joinOutput(m, j, rest, le.order, ls)
 								node := plan.NewJoin(m, le.node, re.node, outPages, order)
 								e := entry{node: node, score: le.score + re.score + jc, pages: outPages, order: order}
-								slot(mask, c.slotOf(order)).add(e)
+								slot(mask, osl).add(e)
 							}
 						}
 					}
@@ -296,7 +294,7 @@ func (c *ctx) dpTopC(s scorer, topC int) ([]entry, int, error) {
 		return nil, probes, ErrNoPlan
 	}
 	sort.Slice(out, func(a, b int) bool {
-		return better(out[a].score, out[a].node.Signature(), out[b].score, out[b].node.Signature())
+		return better(out[a].score, out[a].node, out[b].score, out[b].node)
 	})
 	if len(out) > topC {
 		out = out[:topC]
@@ -341,7 +339,7 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 	keep := func(mask uint64, e distEntry) {
 		sl := c.slotOf(e.order)
 		cur := dp[mask][sl]
-		if cur == nil || better(e.score, e.node.Signature(), cur.score, cur.node.Signature()) {
+		if cur == nil || better(e.score, e.node, cur.score, cur.node) {
 			ec := e
 			dp[mask][sl] = &ec
 		}
@@ -361,7 +359,7 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 				bit := uint64(1) << uint(j)
 				rest := mask &^ bit
 				sigmaLaw := c.sigmaLawBetween(j, rest)
-				for _, left := range dp[rest] {
+				for ls, left := range dp[rest] {
 					if left == nil {
 						continue
 					}
@@ -383,7 +381,7 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 						for _, m := range c.opts.Methods {
 							jc := expcost.JoinECModel(c.opts.CostModel, m, left.law, right.law, mem)
 							outPages := outLaw.Mean()
-							order := c.joinOutputOrder(m, j, rest, left.order)
+							order, _ := c.joinOutput(m, j, rest, left.order, ls)
 							node := plan.NewJoin(m, left.node, right.node, outPages, order)
 							keep(mask, distEntry{
 								entry: entry{node: node, score: left.score + right.score + jc, pages: outPages, order: order},
@@ -397,7 +395,6 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 	}
 	// Root completion with an expected-cost enforcer over the size law.
 	var best *distEntry
-	bestSig := ""
 	for sl, e := range dp[full] {
 		if e == nil {
 			continue
@@ -411,10 +408,9 @@ func (c *ctx) dpDist(mem dist.Dist) (Result, error) {
 			cand.node = plan.NewSort(e.node, c.requiredOrder())
 			cand.order = c.requiredOrder()
 		}
-		sig := cand.node.Signature()
-		if best == nil || better(cand.score, sig, best.score, bestSig) {
+		if best == nil || better(cand.score, cand.node, best.score, best.node) {
 			cc := cand
-			best, bestSig = &cc, sig
+			best = &cc
 		}
 	}
 	if best == nil {

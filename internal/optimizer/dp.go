@@ -90,17 +90,23 @@ func (c *ctx) slotOf(o plan.Order) int {
 	return 0
 }
 
-// joinOutputOrder returns the order property of a join's output: sort-merge
-// imposes its join-column order; nested-loop variants stream the outer and
-// preserve its order; hash joins destroy order.
-func (c *ctx) joinOutputOrder(method cost.JoinMethod, j int, leftMask uint64, leftOrder plan.Order) plan.Order {
+// joinOutput returns the order property of a join's output and its order
+// slot: sort-merge imposes its join-column order, which is the ORDER BY
+// order or none; nested-loop variants stream the outer and preserve its
+// order, and so its slot (leftSlot is slotOf(leftOrder)); hash joins
+// destroy order. Deriving the slot from the method equals slotOf on the
+// returned order without its map lookup.
+func (c *ctx) joinOutput(method cost.JoinMethod, j int, leftMask uint64, leftOrder plan.Order, leftSlot int) (plan.Order, int) {
 	switch method {
 	case cost.SortMerge:
-		return c.joinOrder(method, j, leftMask)
+		if o := c.joinOrder(method, j, leftMask); !o.IsNone() {
+			return o, 1
+		}
+		return plan.Order{}, 0
 	case cost.PageNL, cost.BlockNL:
-		return leftOrder
+		return leftOrder, leftSlot
 	default:
-		return plan.Order{}
+		return plan.Order{}, 0
 	}
 }
 
@@ -233,22 +239,28 @@ func (c *ctx) expandMask(dp []dpSlot, mask uint64, s scorer, w *dpWorker) {
 					continue
 				}
 				right := &dp[bit].e[rs]
+				outPages := c.joinOutPages(mask, c.clampPages(left.pages*right.pages*sigma))
 				for _, m := range c.opts.Methods {
 					jc := s.joinScore(m, left.pages, right.pages, phase)
 					score := left.score + right.score + jc
-					outPages := c.joinOutPages(mask, c.clampPages(left.pages*right.pages*sigma))
-					order := c.joinOutputOrder(m, j, rest, left.order)
-					slot := c.slotOf(order)
+					order, slot := c.joinOutput(m, j, rest, left.order, ls)
 					if sl.ok[slot] && score > sl.e[slot].score {
 						continue // strictly worse: skip building the node
 					}
-					node := w.arena.newJoin(m, left.node, right.node, outPages, order)
-					if sl.ok[slot] && !betterEntry(score, node, &sl.e[slot]) {
-						w.arena.undo()
+					cand := plan.Node{Kind: plan.KindJoin, Method: m, Left: left.node, Right: right.node, OutPages: outPages, OutOrder: order}
+					e := &sl.e[slot]
+					if !sl.ok[slot] {
+						e.node = w.arena.alloc()
+						sl.ok[slot] = true
+					} else if !better(score, &cand, e.score, e.node) {
 						continue
 					}
-					sl.e[slot] = entry{node: node, score: score, pages: outPages, order: order}
-					sl.ok[slot] = true
+					// Only larger masks, expanded in later ranks, point at
+					// dp[mask]'s nodes, so a beaten incumbent is overwritten
+					// in place: a slot holds one arena node however many
+					// candidates replace it.
+					*e.node = cand
+					e.score, e.pages, e.order = score, outPages, order
 				}
 			}
 		}
@@ -258,28 +270,17 @@ func (c *ctx) expandMask(dp []dpSlot, mask uint64, s scorer, w *dpWorker) {
 // keepSlot installs e into its order slot when it beats the incumbent.
 func (c *ctx) keepSlot(sl *dpSlot, e entry) {
 	slot := c.slotOf(e.order)
-	if sl.ok[slot] && !betterEntry(e.score, e.node, &sl.e[slot]) {
+	if sl.ok[slot] && !better(e.score, e.node, sl.e[slot].score, sl.e[slot].node) {
 		return
 	}
 	sl.e[slot] = e
 	sl.ok[slot] = true
 }
 
-// betterEntry ranks a challenger against the incumbent: lower score wins,
-// exact ties break on plan signature. Signatures are built only on exact
-// score ties — they allocate, and ties are rare.
-func betterEntry(score float64, node *plan.Node, cur *entry) bool {
-	if score != cur.score {
-		return score < cur.score
-	}
-	return node.Signature() < cur.node.Signature()
-}
-
 // finishRoot applies the ORDER BY enforcer where needed and returns the
 // cheapest completed plan.
 func (c *ctx) finishRoot(sl *dpSlot, s scorer) (Result, error) {
 	var best entry
-	bestSig := ""
 	have := false
 	phase := lastPhase(c.n)
 	for slot := 0; slot < 2; slot++ {
@@ -292,9 +293,8 @@ func (c *ctx) finishRoot(sl *dpSlot, s scorer) (Result, error) {
 			cand.node = plan.NewSort(cand.node, c.requiredOrder())
 			cand.order = c.requiredOrder()
 		}
-		sig := cand.node.Signature()
-		if !have || better(cand.score, sig, best.score, bestSig) {
-			best, bestSig, have = cand, sig, true
+		if !have || better(cand.score, cand.node, best.score, best.node) {
+			best, have = cand, true
 		}
 	}
 	if !have {

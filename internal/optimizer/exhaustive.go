@@ -57,7 +57,6 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 		mask  uint64
 	}
 	var best *Result
-	bestSig := ""
 	candidates := 0
 	full := fullMask(c.n)
 
@@ -71,10 +70,8 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 			return err
 		}
 		candidates++
-		sig := node.Signature()
-		if best == nil || better(score, sig, best.EC, bestSig) {
+		if best == nil || better(score, node, best.EC, best.Plan) {
 			best = &Result{Plan: node, EC: score}
-			bestSig = sig
 		}
 		return nil
 	}
@@ -99,7 +96,7 @@ func (c *ctx) exhaustive(eval func(*plan.Node) (float64, error)) (Result, error)
 			for _, leaf := range c.leafEntries(c.tables[j]) {
 				for _, m := range c.opts.Methods {
 					outPages := c.joinOutPages(p.mask|bit, c.clampPages(p.pages*leaf.pages*sigma))
-					order := c.joinOutputOrder(m, j, p.mask, p.order)
+					order, _ := c.joinOutput(m, j, p.mask, p.order, c.slotOf(p.order))
 					node := plan.NewJoin(m, p.node, leaf.node, outPages, order)
 					if err := extend(partial{node: node, pages: outPages, order: order, mask: p.mask | bit}); err != nil {
 						return err

@@ -190,10 +190,17 @@ type ctx struct {
 	n         int
 	tables    []*tableInfo
 	sigma     [][]float64         // pairwise page-selectivity product (1 if no edge)
-	edge      [][]bool            // join-graph adjacency
 	sigmaD    [][]dist.Dist       // per-pair selectivity laws (zero Dist ⇒ Point(sigma))
 	orderCols map[plan.Order]bool // orders that satisfy the query's ORDER BY
 	sizeHint  map[uint64]float64  // observed result pages by table-subset mask
+	// adj is the join graph as bitmasks: bit i of adj[j] is set when a
+	// join predicate links tables j and i.
+	adj []uint64
+	// orderEdge is the ORDER BY-carrying subset of adj: bit i of
+	// orderEdge[j] is set when a predicate between tables j and i has
+	// either column in orderCols, so a sort-merge join of j against a
+	// prefix covering i outputs the required order.
+	orderEdge []uint64
 }
 
 // prepare validates the block and precomputes per-table and per-pair
@@ -394,11 +401,11 @@ func compilePred(filters []query.Filter) *plan.ScanPred {
 func (c *ctx) preparePairs() error {
 	n := c.n
 	c.sigma = make([][]float64, n)
-	c.edge = make([][]bool, n)
 	c.sigmaD = make([][]dist.Dist, n)
+	c.adj = make([]uint64, n)
+	c.orderEdge = make([]uint64, n)
 	for i := range c.sigma {
 		c.sigma[i] = make([]float64, n)
-		c.edge[i] = make([]bool, n)
 		c.sigmaD[i] = make([]dist.Dist, n)
 		for j := range c.sigma[i] {
 			c.sigma[i][j] = 1
@@ -413,8 +420,12 @@ func (c *ctx) preparePairs() error {
 		}
 		c.sigma[li][ri] *= s
 		c.sigma[ri][li] *= s
-		c.edge[li][ri] = true
-		c.edge[ri][li] = true
+		c.adj[li] |= 1 << uint(ri)
+		c.adj[ri] |= 1 << uint(li)
+		if c.orderCols[plan.Order(j.Left)] || c.orderCols[plan.Order(j.Right)] {
+			c.orderEdge[li] |= 1 << uint(ri)
+			c.orderEdge[ri] |= 1 << uint(li)
+		}
 	}
 	return nil
 }
@@ -463,13 +474,13 @@ func (c *ctx) clampPages(p float64) float64 {
 }
 
 // sigmaBetween returns the point page-selectivity product joining table j
-// against every table in mask.
+// against every table in mask. Pairs without a join predicate have
+// selectivity exactly 1, so only j's join partners in mask are multiplied
+// in — in ascending table order, the same product bit for bit.
 func (c *ctx) sigmaBetween(j int, mask uint64) float64 {
 	s := 1.0
-	for i := 0; i < c.n; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			s *= c.sigma[i][j]
-		}
+	for m := mask & c.adj[j]; m != 0; m &= m - 1 {
+		s *= c.sigma[bits.TrailingZeros64(m)][j]
 	}
 	return s
 }
@@ -494,12 +505,7 @@ func (c *ctx) sigmaLawBetween(j int, mask uint64) dist.Dist {
 
 // connects reports whether table j has a join edge into mask.
 func (c *ctx) connects(j int, mask uint64) bool {
-	for i := 0; i < c.n; i++ {
-		if mask&(1<<uint(i)) != 0 && c.edge[i][j] {
-			return true
-		}
-	}
-	return false
+	return c.adj[j]&mask != 0
 }
 
 // candidates returns the tables j in mask eligible as the last join input
@@ -512,61 +518,54 @@ func (c *ctx) candidates(mask uint64) []int {
 
 // candidatesInto is candidates appending into a caller-owned buffer (pass
 // buf[:0] to reuse it) — the allocation-free form used by the DP's
-// per-worker scratch. The returned order is identical to candidates'.
+// per-worker scratch. Tables come in ascending index order.
 func (c *ctx) candidatesInto(mask uint64, buf []int) []int {
-	for j := 0; j < c.n; j++ {
-		bit := uint64(1) << uint(j)
-		if mask&bit == 0 {
-			continue
-		}
-		rest := mask &^ bit
-		if rest == 0 || c.connects(j, rest) {
-			buf = append(buf, j)
-		}
-	}
-	if len(buf) > 0 {
-		return buf
-	}
-	for j := 0; j < c.n; j++ {
-		if mask&(1<<uint(j)) != 0 {
+	cross := !c.hasEdgeWithin(mask)
+	for m := mask; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros64(m)
+		if cross || c.connects(j, mask&^(1<<uint(j))) {
 			buf = append(buf, j)
 		}
 	}
 	return buf
 }
 
-// isCandidate reports whether table j is an eligible last join input for
-// mask (j must be a member). Shared by the DP and the exhaustive oracle so
-// both search the identical plan space.
-func (c *ctx) isCandidate(j int, mask uint64) bool {
-	for _, cand := range c.candidates(mask) {
-		if cand == j {
+// hasEdgeWithin reports whether any join predicate links two members of
+// mask. When none does, every member is a candidate (forced cross
+// product).
+func (c *ctx) hasEdgeWithin(mask uint64) bool {
+	for m := mask; m != 0; m &= m - 1 {
+		if c.adj[bits.TrailingZeros64(m)]&mask != 0 {
 			return true
 		}
 	}
 	return false
 }
 
+// isCandidate reports whether table j is an eligible last join input for
+// mask: j is a member and either is the whole mask, connects to the
+// rest, or no predicate links any two members. It is candidatesInto's
+// rule for one table, used by the exhaustive oracle so the oracle and the
+// DP search the identical plan space.
+func (c *ctx) isCandidate(j int, mask uint64) bool {
+	bit := uint64(1) << uint(j)
+	if mask&bit == 0 {
+		return false
+	}
+	rest := mask &^ bit
+	return rest == 0 || c.connects(j, rest) || !c.hasEdgeWithin(mask)
+}
+
 // joinOrder returns the output order property of joining left (covering
 // leftMask) with table j via method, reduced to "satisfies ORDER BY or
 // not": sort-merge output is sorted on its join columns, so if any edge
-// column between j and leftMask matches an ORDER BY-equivalent column the
-// plan satisfies the requirement.
+// between j and leftMask carries an ORDER BY-equivalent column the plan
+// satisfies the requirement.
 func (c *ctx) joinOrder(method cost.JoinMethod, j int, leftMask uint64) plan.Order {
-	if !method.OrdersOutput() || c.blk.OrderBy == nil {
+	if !method.OrdersOutput() || c.orderEdge[j]&leftMask == 0 {
 		return plan.Order{}
 	}
-	for _, e := range c.blk.JoinsBetween(c.blk.Tables[j], leftMask) {
-		side, _ := e.Side(c.blk.Tables[j])
-		other, _ := e.Other(c.blk.Tables[j])
-		for _, col := range []query.ColRef{side, other} {
-			o := plan.Order{Table: col.Table, Column: col.Column}
-			if c.orderCols[o] {
-				return plan.Order{Table: c.blk.OrderBy.Table, Column: c.blk.OrderBy.Column}
-			}
-		}
-	}
-	return plan.Order{}
+	return c.requiredOrder()
 }
 
 // satisfiesOrderBy reports whether an order property meets the block's
@@ -609,13 +608,16 @@ func lastPhase(n int) int {
 // fullMask returns the bitmask covering all n tables.
 func fullMask(n int) uint64 { return (1 << uint(n)) - 1 }
 
-// better reports strictly lower score with a deterministic tie-break on
-// plan signature so optimizer output is reproducible.
-func better(score float64, sig string, bestScore float64, bestSig string) bool {
+// better is the one ranking rule every algorithm selects plans by: lower
+// score wins, and exact score ties break on plan signature so optimizer
+// output is reproducible. Ties are common — symmetric join costs tie at
+// every rank of the DP — so the signatures are compared in place
+// (plan.CompareSignature), never built as strings.
+func better(score float64, node *plan.Node, bestScore float64, best *plan.Node) bool {
 	if score != bestScore {
 		return score < bestScore
 	}
-	return sig < bestSig
+	return plan.CompareSignature(node, best) < 0
 }
 
 func checkFinite(v float64) error {

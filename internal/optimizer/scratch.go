@@ -3,7 +3,6 @@ package optimizer
 import (
 	"sync"
 
-	"lecopt/internal/cost"
 	"lecopt/internal/plan"
 )
 
@@ -106,7 +105,7 @@ type nodeArena struct {
 }
 
 // alloc returns a zeroed node. Slots at or past the cursor are always
-// zero (fresh chunks are zero; reset and undo re-zero recycled slots).
+// zero (fresh chunks are zero; reset re-zeroes recycled slots).
 func (a *nodeArena) alloc() *plan.Node {
 	if a.ci == len(a.chunks) {
 		a.chunks = append(a.chunks, make([]plan.Node, arenaChunkSize))
@@ -117,29 +116,6 @@ func (a *nodeArena) alloc() *plan.Node {
 		a.ci++
 		a.ni = 0
 	}
-	return n
-}
-
-// undo gives back the most recently allocated node — the loser of a DP
-// comparison that was only built for its tie-break signature.
-func (a *nodeArena) undo() {
-	if a.ni == 0 {
-		a.ci--
-		a.ni = arenaChunkSize
-	}
-	a.ni--
-	a.chunks[a.ci][a.ni] = plan.Node{}
-}
-
-// newJoin is plan.NewJoin allocated from the arena.
-func (a *nodeArena) newJoin(method cost.JoinMethod, left, right *plan.Node, outPages float64, order plan.Order) *plan.Node {
-	n := a.alloc()
-	n.Kind = plan.KindJoin
-	n.Method = method
-	n.Left = left
-	n.Right = right
-	n.OutPages = outPages
-	n.OutOrder = order
 	return n
 }
 

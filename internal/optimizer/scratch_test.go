@@ -11,7 +11,7 @@ import (
 )
 
 // TestNodeArena exercises the arena mechanics directly: stable distinct
-// pointers across chunk boundaries, undo, ownership, and a reset that
+// pointers across chunk boundaries, ownership, and a reset that
 // really zeroes the used prefix.
 func TestNodeArena(t *testing.T) {
 	var a nodeArena
@@ -36,15 +36,6 @@ func TestNodeArena(t *testing.T) {
 	}
 	if a.owns(&plan.Node{}) {
 		t.Fatal("owns reported a foreign node")
-	}
-
-	a.undo()
-	redo := a.alloc()
-	if redo != nodes[n-1] {
-		t.Fatal("alloc after undo did not reuse the undone slot")
-	}
-	if redo.OutPages != 0 {
-		t.Fatalf("undone slot not zeroed: OutPages=%v", redo.OutPages)
 	}
 
 	a.reset()

@@ -66,7 +66,7 @@ func (l *topList) add(e entry) {
 	sig := e.node.Signature()
 	for i, cur := range l.entries {
 		if cur.node.Signature() == sig {
-			if better(e.score, sig, cur.score, sig) {
+			if e.score < cur.score {
 				l.entries[i] = e
 				l.resort()
 			}
@@ -82,8 +82,7 @@ func (l *topList) add(e entry) {
 
 func (l *topList) resort() {
 	sort.Slice(l.entries, func(a, b int) bool {
-		return better(l.entries[a].score, l.entries[a].node.Signature(),
-			l.entries[b].score, l.entries[b].node.Signature())
+		return better(l.entries[a].score, l.entries[a].node, l.entries[b].score, l.entries[b].node)
 	})
 }
 

@@ -7,6 +7,7 @@
 package plan
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -131,16 +132,18 @@ func (p *ScanPred) KeyRange() (lo, hi int64) {
 // discriminator keeps tree surgery, printing and signatures simple.
 type Node struct {
 	Kind Kind
+	// The one-byte scan and join fields sit next to Kind, so the node
+	// packs into 128 bytes instead of padding each out to a word.
+	Access Access          // scan
+	Method cost.JoinMethod // join
 
 	// Scan fields.
-	Table  string
-	Access Access
-	Index  string    // index name when Access == AccessIndex
-	Sel    float64   // local-filter selectivity applied during the scan
-	Pred   *ScanPred // compiled filter range, when the filters admit one
+	Table string
+	Index string    // index name when Access == AccessIndex
+	Sel   float64   // local-filter selectivity applied during the scan
+	Pred  *ScanPred // compiled filter range, when the filters admit one
 
 	// Join fields.
-	Method      cost.JoinMethod
 	Left, Right *Node
 
 	// Sort: Child is the input (also used for rendering uniformity).
@@ -466,35 +469,54 @@ func (n *Node) BasePages() float64 {
 // Signature returns a canonical, order-sensitive description of the plan's
 // physical structure, used for deduplication across optimizer runs.
 func (n *Node) Signature() string {
-	var b strings.Builder
-	var rec func(m *Node)
-	rec = func(m *Node) {
-		switch m.Kind {
-		case KindScan:
-			b.WriteString(m.Table)
-			if m.Access == AccessIndex {
-				b.WriteString("[ix:")
-				b.WriteString(m.Index)
-				b.WriteString("]")
-			}
-		case KindJoin:
-			b.WriteString("(")
-			rec(m.Left)
-			b.WriteString(" ")
-			b.WriteString(m.Method.String())
-			b.WriteString(" ")
-			rec(m.Right)
-			b.WriteString(")")
-		case KindSort:
-			b.WriteString("sort<")
-			b.WriteString(m.OutOrder.String())
-			b.WriteString(">(")
-			rec(m.Child)
-			b.WriteString(")")
+	var buf [192]byte
+	return string(n.AppendSignature(buf[:0]))
+}
+
+// AppendSignature appends the plan's Signature to dst and returns the
+// extended buffer. Comparing plans through caller-owned buffers (see
+// CompareSignature) builds no strings.
+func (n *Node) AppendSignature(dst []byte) []byte {
+	switch n.Kind {
+	case KindScan:
+		dst = append(dst, n.Table...)
+		if n.Access == AccessIndex {
+			dst = append(dst, "[ix:"...)
+			dst = append(dst, n.Index...)
+			dst = append(dst, ']')
 		}
+	case KindJoin:
+		dst = append(dst, '(')
+		dst = n.Left.AppendSignature(dst)
+		dst = append(dst, ' ')
+		dst = append(dst, n.Method.String()...)
+		dst = append(dst, ' ')
+		dst = n.Right.AppendSignature(dst)
+		dst = append(dst, ')')
+	case KindSort:
+		dst = append(dst, "sort<"...)
+		if n.OutOrder.IsNone() {
+			dst = append(dst, "none"...)
+		} else {
+			dst = append(dst, n.OutOrder.Table...)
+			dst = append(dst, '.')
+			dst = append(dst, n.OutOrder.Column...)
+		}
+		dst = append(dst, ">("...)
+		dst = n.Child.AppendSignature(dst)
+		dst = append(dst, ')')
 	}
-	rec(n)
-	return b.String()
+	return dst
+}
+
+// CompareSignature orders two plans by signature: it returns the same as
+// strings.Compare(a.Signature(), b.Signature()). Both signatures are
+// rendered into stack buffers, so signatures up to 192 bytes (an 8-table
+// left-deep plan) allocate nothing — the DP's tie-break runs on every
+// exact score tie.
+func CompareSignature(a, b *Node) int {
+	var ab, bb [192]byte
+	return bytes.Compare(a.AppendSignature(ab[:0]), b.AppendSignature(bb[:0]))
 }
 
 // String renders an indented operator tree.
