@@ -202,11 +202,12 @@ func BenchmarkLSC(b *testing.B) {
 }
 
 // BenchmarkOptimizeBatch measures the concurrent batch pipeline on a slice
-// of the differential corpus: the throughput trajectory that
-// BENCH_batch.json captures from lecbench, reproducible under go test.
-// The uncached runs use a handle without a plan cache, so every batch
-// optimizes every request; the cached run shares one cache across
-// batches, so after the first it measures the lookup step alone.
+// of the differential corpus, for profiling under go test; the repository
+// benchmark (perfbench/run.sh) measures batch throughput and latency end to
+// end, and TestBatchAllocBudget gates its allocations. The uncached runs
+// use a handle without a plan cache, so every batch optimizes every
+// request; the cached run shares one cache across batches, so after the
+// first it measures the lookup step alone.
 func BenchmarkOptimizeBatch(b *testing.B) {
 	corpus := diffCorpus(b)[:40]
 	reqs := make([]Request, len(corpus))

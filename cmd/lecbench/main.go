@@ -1,22 +1,21 @@
 // Command lecbench regenerates the paper-reproduction tables (experiments
 // E1-E20 of DESIGN.md) and prints them. EXPERIMENTS.md records one such
-// run annotated against the paper's claims. With -workers it instead
-// drives a randomized batch-optimization workload through the concurrent
-// pipeline and reports throughput (plans/sec, allocs/op, cache hit rate),
-// writing the BENCH_batch.json regression artifact. With -workload it runs
-// the engine-in-the-loop serving simulator — LSC and LEC plans optimized
-// per request and *executed* on the page-level engine under sampled memory
+// run annotated against the paper's claims. With -workload it runs the
+// engine-in-the-loop serving simulator — LSC and LEC plans optimized per
+// request and *executed* on the page-level engine under sampled memory
 // trajectories — writing the BENCH_workload.json realized-I/O artifact.
+// With -fleet it drives Zipf tenant traffic through the resilience layer,
+// writing BENCH_fleet.json. Batch throughput and latency are measured by
+// the repository benchmark (perfbench/run.sh), not here.
 //
 // Usage:
 //
 //	lecbench                         # run every experiment
 //	lecbench -run E1,E5              # selected experiments
 //	lecbench -list                   # list experiment IDs and titles
-//	lecbench -workers=8 -cache       # batch throughput mode
-//	lecbench -workers=8 -qps=500     # paced offered load
 //	lecbench -workload -json         # engine-in-the-loop workload mode
 //	lecbench -workload -requests=200 # quick smoke of the same
+//	lecbench -fleet -tenants=256     # fleet resilience mode
 package main
 
 import (
@@ -33,15 +32,10 @@ func main() {
 		runSpec = flag.String("run", "", "comma-separated experiment IDs (default: all)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 
-		workers   = flag.Int("workers", 0, "throughput mode: worker count (0 with -workload: GOMAXPROCS)")
-		requests  = flag.Int("requests", 2000, "throughput/workload mode: total requests")
-		distinct  = flag.Int("distinct", 64, "throughput mode: distinct scenarios in the pool")
-		useCache  = flag.Bool("cache", false, "throughput mode: memoize plans in an LRU cache")
-		cacheSize = flag.Int("cachesize", 4096, "throughput/workload mode: plan-cache capacity")
-		qps       = flag.Float64("qps", 0, "throughput mode: offered load limit in plans/sec (0 = unlimited)")
-		maxAllocs = flag.Float64("maxallocs", 0, "throughput mode: fail when allocs/op exceeds this (0 = no gate) — the CI allocation regression gate")
-		seed      = flag.Int64("seed", 1, "throughput/workload mode: workload seed")
-		alg       = flag.String("alg", "algorithm-c", "throughput mode: optimization algorithm")
+		workers   = flag.Int("workers", 0, "workload/fleet mode: worker count (0 = GOMAXPROCS)")
+		requests  = flag.Int("requests", 2000, "workload/fleet mode: total requests")
+		cacheSize = flag.Int("cachesize", 4096, "workload/fleet mode: plan-cache capacity")
+		seed      = flag.Int64("seed", 1, "workload/fleet mode: workload seed")
 
 		workloadM = flag.Bool("workload", false, "workload mode: engine-in-the-loop LSC-vs-LEC serving simulation")
 		fleetM    = flag.Bool("fleet", false, "fleet mode: Zipf tenant fleet through the resilience layer at each offered load level")
@@ -53,7 +47,7 @@ func main() {
 		noIndex   = flag.Bool("noindex", false, "workload mode: heap-only mix (no physical indexes, no index plans) — reproduces the pre-access-path artifact")
 
 		emitJSON = flag.Bool("json", true, "write the mode's JSON artifact")
-		outPath  = flag.String("out", "", "artifact path (default BENCH_batch.json / BENCH_workload.json by mode)")
+		outPath  = flag.String("out", "", "artifact path (default BENCH_workload.json / BENCH_fleet.json by mode)")
 	)
 	flag.Parse()
 	artifact := func(def string) string {
@@ -94,20 +88,6 @@ func main() {
 			DriftBand: *driftBand, NoBands: *noBands, NoIndex: *noIndex,
 		}
 		if _, err := runWorkloadMode(cfg, artifact("BENCH_workload.json"), os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "lecbench:", err)
-			os.Exit(1)
-		}
-	case *workers > 0:
-		if *runSpec != "" || *list {
-			fmt.Fprintln(os.Stderr, "lecbench: -run/-list select experiments and cannot be combined with -workers (throughput mode)")
-			os.Exit(1)
-		}
-		cfg := throughputConfig{
-			Workers: *workers, Requests: *requests, Distinct: *distinct,
-			Cache: *useCache, CacheSize: *cacheSize, QPS: *qps, Seed: *seed, Alg: *alg,
-			MaxAllocs: *maxAllocs,
-		}
-		if _, err := runThroughput(cfg, artifact("BENCH_batch.json"), os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "lecbench:", err)
 			os.Exit(1)
 		}

@@ -1,13 +1,6 @@
 package main
 
-import (
-	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRunList(t *testing.T) {
 	if err := run("", true); err != nil {
@@ -31,169 +24,5 @@ func TestRunSelectedMultiple(t *testing.T) {
 func TestRunUnknownExperiment(t *testing.T) {
 	if err := run("E99", false); err == nil {
 		t.Fatal("unknown experiment should fail")
-	}
-}
-
-func throughputCfg(workers, requests, distinct int, cache bool) throughputConfig {
-	return throughputConfig{
-		Workers: workers, Requests: requests, Distinct: distinct,
-		Cache: cache, CacheSize: 1024, Seed: 7, Alg: "algorithm-c",
-	}
-}
-
-func TestThroughputModeEmitsArtifact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_batch.json")
-	var out strings.Builder
-	rep, err := runThroughput(throughputCfg(4, 60, 12, true), path, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 || rep.PlansPerSec <= 0 || rep.AllocsPerOp <= 0 {
-		t.Fatalf("implausible report: %+v", rep)
-	}
-	if rep.CacheHits == 0 || rep.CacheHitRate <= 0 {
-		t.Fatalf("repeated workload produced no cache hits: %+v", rep)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var onDisk throughputReport
-	if err := json.Unmarshal(buf, &onDisk); err != nil {
-		t.Fatal(err)
-	}
-	if onDisk.Workers != 4 || onDisk.Requests != 60 || onDisk.PlansPerSec != rep.PlansPerSec {
-		t.Fatalf("artifact mismatch: %+v", onDisk)
-	}
-	if !strings.Contains(out.String(), "plans/sec") {
-		t.Fatalf("summary missing throughput line:\n%s", out.String())
-	}
-	// The per-request optimize-latency histogram covers every successful
-	// request with ordered quantiles.
-	h := onDisk.OptimizeLatency
-	if h.Count != 60-onDisk.Errors {
-		t.Fatalf("latency histogram count %d, want %d", h.Count, 60-onDisk.Errors)
-	}
-	if h.P50 <= 0 || h.P50 > h.P90 || h.P90 > h.P99 || h.P99 > h.Max {
-		t.Fatalf("implausible latency quantiles: %+v", h)
-	}
-	if !strings.Contains(out.String(), "optimize latency p50/p90/p99/max") {
-		t.Fatalf("summary missing latency line:\n%s", out.String())
-	}
-}
-
-func TestThroughputQPSPacing(t *testing.T) {
-	// Two 100ms slices are enough to exercise the pacing path.
-	cfg := throughputCfg(2, 20, 4, false)
-	cfg.QPS = 100
-	rep, err := runThroughput(cfg, "", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 || rep.ElapsedSeconds < 0.1 {
-		t.Fatalf("pacing did not throttle: %+v", rep)
-	}
-}
-
-func TestThroughputBadConfig(t *testing.T) {
-	if _, err := runThroughput(throughputCfg(1, 0, 4, false), "", io.Discard); err == nil {
-		t.Fatal("zero requests should fail")
-	}
-	cfg := throughputCfg(1, 10, 4, false)
-	cfg.Alg = "nope"
-	if _, err := runThroughput(cfg, "", io.Discard); err == nil {
-		t.Fatal("unknown algorithm should fail")
-	}
-}
-
-// TestThroughputAllocGate pins the -maxallocs behavior: a generous budget
-// passes, an impossible one fails with the gate's error, and the artifact
-// is still written on a gate failure so the regression can be diagnosed.
-func TestThroughputAllocGate(t *testing.T) {
-	cfg := throughputCfg(2, 60, 12, true)
-	cfg.MaxAllocs = 1e6
-	if _, err := runThroughput(cfg, "", io.Discard); err != nil {
-		t.Fatalf("generous gate failed: %v", err)
-	}
-	cfg.MaxAllocs = 0.001
-	path := filepath.Join(t.TempDir(), "BENCH_batch.json")
-	_, err := runThroughput(cfg, path, io.Discard)
-	if err == nil || !strings.Contains(err.Error(), "allocation gate") {
-		t.Fatalf("impossible gate did not trip: %v", err)
-	}
-	if _, statErr := os.Stat(path); statErr != nil {
-		t.Fatalf("gate failure should still write the artifact: %v", statErr)
-	}
-}
-
-// TestCommittedArtifactMeetsHotPathTargets gates the committed
-// BENCH_batch.json against the PR's acceptance thresholds: no errors, a
-// warm hit rate, allocs/op at least 5x below the pre-hot-path 87.91, and
-// plans/sec at least 2x above the pre-hot-path 70,937. Regenerate with
-//
-//	go run ./cmd/lecbench -workers=8 -cache -requests=2000
-//
-// if a legitimate change moves the numbers. (The figures are from the
-// reference machine that commits the artifact; the test reads the file,
-// not the current host's speed, so it is stable across machine classes.)
-func TestCommittedArtifactMeetsHotPathTargets(t *testing.T) {
-	buf, err := os.ReadFile("../../BENCH_batch.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep throughputReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("committed artifact has %d errors", rep.Errors)
-	}
-	if rep.CacheHitRate < 0.9 {
-		t.Fatalf("committed hit rate %.3f < 0.9", rep.CacheHitRate)
-	}
-	if rep.AllocsPerOp > 87.91/5 {
-		t.Fatalf("committed allocs/op %.2f misses the 5x target (%.2f)", rep.AllocsPerOp, 87.91/5)
-	}
-	if rep.PlansPerSec < 2*70937 {
-		t.Fatalf("committed plans/sec %.0f misses the 2x target (%d)", rep.PlansPerSec, 2*70937)
-	}
-}
-
-// TestThroughputCacheSpeedup is the ISSUE acceptance check: the cached
-// 8-worker pipeline must deliver at least 3x the plans/sec of the serial
-// uncached one on the same repeated workload. On a single-core host the win
-// comes almost entirely from the plan cache (repeats dominate the stream),
-// which is exactly the serving pattern the cache exists for.
-func TestThroughputCacheSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison; skipped in -short")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews the wall-clock comparison")
-	}
-	serial, err := runThroughput(throughputCfg(1, 600, 12, false), "", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached, err := runThroughput(throughputCfg(8, 600, 12, true), "", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The deterministic part of the claim: repeats dominate the stream, so
-	// nearly every request must be served from the cache (a handful of
-	// extra cold-key misses from racing workers is tolerated).
-	if cached.CacheHitRate < 0.9 {
-		t.Fatalf("hit rate %.2f too low for a 600-request/12-scenario stream", cached.CacheHitRate)
-	}
-	// The wall-clock part is inherently load-sensitive, so skip it on
-	// shared CI runners (GitHub Actions sets CI=true); local and driver
-	// runs still enforce the 3x acceptance bar.
-	if os.Getenv("CI") != "" {
-		t.Skip("wall-clock ratio skipped on shared CI runners")
-	}
-	ratio := cached.PlansPerSec / serial.PlansPerSec
-	if ratio < 3 {
-		t.Fatalf("plans/sec speedup %.2fx < 3x (serial %.0f, cached %.0f)",
-			ratio, serial.PlansPerSec, cached.PlansPerSec)
 	}
 }

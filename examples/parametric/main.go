@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	entries := prep.Entries(1)
+	entries := prep.Entries()
 	distinct := map[string]bool{}
 	for _, e := range entries {
 		distinct[e.Plan.Signature()] = true

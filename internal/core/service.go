@@ -72,17 +72,11 @@ type Config struct {
 	// DisableFeedback turns the executed-size feedback store off;
 	// Observe becomes a no-op and no hints flow into costing.
 	DisableFeedback bool
-	// FeedbackAlpha is the EWMA weight of each observation (0 uses
-	// feedback.DefaultAlpha).
-	FeedbackAlpha float64
 	// AnticipatedLaws is Prepare's memory axis: the [INSS92]-style family
 	// of anticipated memory distributions each prepared statement
 	// precomputes LEC plans for. Empty disables plan-set precomputation
 	// (Prepared.Select then falls back to full cached optimization).
 	AnticipatedLaws []dist.Dist
-	// DriftFactors is Prepare's drift axis: one plan set is precomputed
-	// per anticipated statistics-drift factor (empty means {1}).
-	DriftFactors []float64
 }
 
 // Optimizer is a concurrency-safe, long-lived optimization service: it
@@ -124,7 +118,7 @@ func NewOptimizer(cat *catalog.Catalog, cfg Config) *Optimizer {
 		o.cache = plancache.New[PlanReport](size)
 	}
 	if !cfg.DisableFeedback {
-		o.fb = feedback.NewStore(cfg.FeedbackAlpha)
+		o.fb = feedback.NewStore(feedback.DefaultAlpha)
 	}
 	return o
 }
@@ -169,9 +163,9 @@ type Response struct {
 	Parametric bool
 	// Elapsed is the wall-clock time this request spent inside the handle
 	// (cache lookup plus, on a miss, the optimization) — the per-request
-	// latency the BENCH_batch.json histograms aggregate. It is measurement
-	// metadata: deterministic outputs (reports, artifacts that must be
-	// byte-identical) never serialize it.
+	// latency the repository benchmark (perfbench) aggregates. It is
+	// measurement metadata: deterministic outputs (reports, artifacts that
+	// must be byte-identical) never serialize it.
 	Elapsed time.Duration
 	// Err is the per-request failure in batch responses (nil on success).
 	Err error
@@ -626,28 +620,22 @@ func ResolveDriftBand(v float64) float64 {
 // --- prepared statements -------------------------------------------------
 
 // Prepared is a prepared statement: the query parsed, validated and
-// canonicalized once, plus [INSS92]-style parametric plan sets — one LEC
-// plan per anticipated memory law, per anticipated drift factor — for
-// start-up-time plan selection without a plan-space search.
+// canonicalized once, plus an [INSS92]-style parametric plan set — one LEC
+// plan per anticipated memory law — for start-up-time plan selection
+// without a plan-space search.
 type Prepared struct {
 	opt       *Optimizer
 	sql       string
 	block     *query.Block
 	canonical string
-	sets      []preparedSet
-}
-
-// preparedSet is the plan set precomputed for one drift factor.
-type preparedSet struct {
-	factor float64
-	plans  *parametric.Cache
+	plans     *parametric.Cache // nil without anticipated laws
 }
 
 // Prepare parses, validates and canonicalizes sql against the handle's
 // catalog once, and — when the handle is configured with anticipated
-// memory laws — precomputes the parametric plan sets over the memory and
-// drift axes. Prepared statements are memoized by SQL text: preparing the
-// same text twice returns the same handle.
+// memory laws — precomputes the parametric plan set over them. Prepared
+// statements are memoized by SQL text: preparing the same text twice
+// returns the same handle.
 func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 	if o.cat == nil {
 		return nil, ErrNoCatalog
@@ -664,21 +652,9 @@ func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 	}
 	p := &Prepared{opt: o, sql: sql, block: blk, canonical: blk.Canonical()}
 	if len(o.cfg.AnticipatedLaws) > 0 {
-		factors := o.cfg.DriftFactors
-		if len(factors) == 0 {
-			factors = []float64{1}
-		}
-		opts := o.cfg.PlanSpace
-		for _, f := range factors {
-			cat, err := o.cat.ScaleDistinct(f)
-			if err != nil {
-				return nil, fmt.Errorf("core: prepare: %w", err)
-			}
-			plans, err := parametric.Precompute(cat, blk, opts, o.cfg.AnticipatedLaws)
-			if err != nil {
-				return nil, fmt.Errorf("core: prepare: %w", err)
-			}
-			p.sets = append(p.sets, preparedSet{factor: f, plans: plans})
+		p.plans, err = parametric.Precompute(o.cat, blk, o.cfg.PlanSpace, o.cfg.AnticipatedLaws)
+		if err != nil {
+			return nil, fmt.Errorf("core: prepare: %w", err)
 		}
 	}
 	o.mu.Lock()
@@ -699,68 +675,39 @@ func (p *Prepared) Block() *query.Block { return p.block }
 // Canonical returns the canonical query shape.
 func (p *Prepared) Canonical() string { return p.canonical }
 
-// PlanSets returns the number of precomputed drift-axis plan sets.
-func (p *Prepared) PlanSets() int { return len(p.sets) }
-
 // Optimize runs a full (cached) optimization of the prepared query.
 func (p *Prepared) Optimize(env envsim.Env, alg Algorithm) (Response, error) {
 	return p.opt.Optimize(Request{Prepared: p, Env: env, Alg: alg})
 }
 
-// setFor returns the plan set whose drift factor is nearest (in log
-// ratio) to factor, or nil when none were precomputed.
-func (p *Prepared) setFor(factor float64) *preparedSet {
-	if len(p.sets) == 0 || factor <= 0 {
+// Entries returns the precomputed plan-set entries (nil when Prepare ran
+// without anticipated laws).
+func (p *Prepared) Entries() []parametric.Entry {
+	if p.plans == nil {
 		return nil
 	}
-	best := -1
-	bestD := math.Inf(1)
-	for i := range p.sets {
-		d := math.Abs(math.Log(p.sets[i].factor) - math.Log(factor))
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return &p.sets[best]
-}
-
-// Entries returns the plan-set entries precomputed for the drift factor
-// nearest to factor (nil when Prepare ran without anticipated laws).
-func (p *Prepared) Entries(factor float64) []parametric.Entry {
-	s := p.setFor(factor)
-	if s == nil {
-		return nil
-	}
-	return s.plans.Entries()
+	return p.plans.Entries()
 }
 
 // Nearest returns the precomputed entry whose anticipated law is closest
 // (1-Wasserstein) to the actual start-up-time law — the paper's "simple
-// table lookup" — from the neutral-drift plan set.
+// table lookup".
 func (p *Prepared) Nearest(mem dist.Dist) (parametric.Entry, error) {
-	s := p.setFor(1)
-	if s == nil {
+	if p.plans == nil {
 		return parametric.Entry{}, parametric.ErrNoEntry
 	}
-	return s.plans.Nearest(mem)
+	return p.plans.Nearest(mem)
 }
 
-// Select answers a start-up-time memory law from the neutral-drift plan
-// set by re-costing the tiny cached candidate set (parametric.SelectByEC
-// — Algorithm A over precomputed plans). Without precomputed sets it
-// falls back to a full cached optimization with Algorithm C.
+// Select answers a start-up-time memory law from the precomputed plan set
+// by re-costing the tiny cached candidate set (parametric.SelectByEC —
+// Algorithm A over precomputed plans). Without a plan set it falls back to
+// a full cached optimization with Algorithm C.
 func (p *Prepared) Select(mem dist.Dist) (Response, error) {
-	return p.SelectDrifted(mem, 1)
-}
-
-// SelectDrifted is Select against the plan set precomputed for the drift
-// factor nearest to factor.
-func (p *Prepared) SelectDrifted(mem dist.Dist, factor float64) (Response, error) {
-	s := p.setFor(factor)
-	if s == nil {
+	if p.plans == nil {
 		return p.Optimize(envsim.Env{Mem: mem}, AlgC)
 	}
-	pl, ec, err := s.plans.SelectByEC(mem)
+	pl, ec, err := p.plans.SelectByEC(mem)
 	if err != nil {
 		return Response{Err: err}, err
 	}
@@ -769,13 +716,13 @@ func (p *Prepared) SelectDrifted(mem dist.Dist, factor float64) (Response, error
 		Plan:       pl,
 		Score:      ec,
 		EC:         ec,
-		Candidates: s.plans.Plans(),
+		Candidates: p.plans.Plans(),
 	}
 	// Parametric selection skips the optimizer, so derive the per-phase
 	// breakdown here: the selected plan charged under the static memory
 	// law at every phase, matching what AlgorithmC would report.
 	if laws, lerr := optimizer.PhaseLawsFor(len(p.block.Tables), mem, nil); lerr == nil {
-		if ph, perr := optimizer.ExpectedCostPhasesModel(s.plans.Model(), pl, laws); perr == nil {
+		if ph, perr := optimizer.ExpectedCostPhasesModel(p.plans.Model(), pl, laws); perr == nil {
 			rep.PhaseEC = ph
 		}
 	}

@@ -229,7 +229,7 @@ func TestObserveDisabled(t *testing.T) {
 }
 
 // TestPrepareMemoizedAndParametric: Prepare parses once per SQL text and
-// precomputes plan sets over the configured memory and drift axes;
+// precomputes the plan set over the configured anticipated memory laws;
 // Select answers off-grid laws from the cached candidate set.
 func TestPrepareMemoizedAndParametric(t *testing.T) {
 	sc := serviceScenario(t, 11)
@@ -241,10 +241,7 @@ func TestPrepareMemoizedAndParametric(t *testing.T) {
 		}
 		laws = append(laws, d)
 	}
-	o := NewOptimizer(sc.Cat, Config{
-		AnticipatedLaws: laws,
-		DriftFactors:    []float64{0.5, 1, 2},
-	})
+	o := NewOptimizer(sc.Cat, Config{AnticipatedLaws: laws})
 	sql := sc.Block.String()
 	p1, err := o.Prepare(sql)
 	if err != nil {
@@ -257,11 +254,8 @@ func TestPrepareMemoizedAndParametric(t *testing.T) {
 	if p1 != p2 {
 		t.Fatal("Prepare must memoize by SQL text")
 	}
-	if p1.PlanSets() != 3 {
-		t.Fatalf("want 3 drift-axis plan sets, got %d", p1.PlanSets())
-	}
-	if len(p1.Entries(1)) != len(laws) {
-		t.Fatalf("want %d entries per set, got %d", len(laws), len(p1.Entries(1)))
+	if len(p1.Entries()) != len(laws) {
+		t.Fatalf("want %d entries, got %d", len(laws), len(p1.Entries()))
 	}
 	actual, err := dist.Bimodal(64, 4096, 0.33)
 	if err != nil {
@@ -284,7 +278,7 @@ func TestPrepareMemoizedAndParametric(t *testing.T) {
 		t.Fatalf("parametric EC %v beats full optimization %v", resp.EC, full.EC)
 	}
 	found := false
-	for _, e := range p1.Entries(1) {
+	for _, e := range p1.Entries() {
 		if e.Plan.Signature() == resp.Plan.Signature() {
 			found = true
 		}
@@ -292,16 +286,12 @@ func TestPrepareMemoizedAndParametric(t *testing.T) {
 	if !found {
 		t.Fatal("selected plan is not from the precomputed set")
 	}
-	// Drifted selection picks the nearest factor's set.
-	if _, err := p1.SelectDrifted(actual, 1.8); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := p1.Nearest(actual); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestPrepareWithoutLawsFallsBack: no anticipated laws -> no plan sets,
+// TestPrepareWithoutLawsFallsBack: no anticipated laws -> no plan set,
 // and Select falls back to a full cached optimization.
 func TestPrepareWithoutLawsFallsBack(t *testing.T) {
 	sc := serviceScenario(t, 13)
@@ -310,8 +300,8 @@ func TestPrepareWithoutLawsFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.PlanSets() != 0 || p.Entries(1) != nil {
-		t.Fatalf("unexpected plan sets: %d", p.PlanSets())
+	if p.Entries() != nil {
+		t.Fatalf("unexpected plan set: %d entries", len(p.Entries()))
 	}
 	resp, err := p.Select(serviceEnv(t).Mem)
 	if err != nil {

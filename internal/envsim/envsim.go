@@ -12,8 +12,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"lecopt/internal/dist"
+	"lecopt/internal/histo"
 	"lecopt/internal/plan"
 )
 
@@ -147,41 +149,18 @@ func summarize(costs []float64, total float64) RunStats {
 	}
 	variance /= float64(n)
 	sorted := append([]float64(nil), costs...)
-	insertionSort(sorted)
+	sort.Float64s(sorted)
 	return RunStats{
 		Runs:   n,
 		Mean:   mean,
 		Std:    math.Sqrt(variance),
 		Min:    mn,
 		Max:    mx,
-		P95:    quantile(sorted, 0.95),
-		Median: quantile(sorted, 0.5),
+		P95:    histo.Quantile(sorted, 0.95),
+		Median: histo.Quantile(sorted, 0.5),
 		Total:  total,
 	}
 }
-
-func insertionSort(a []float64) {
-	// Avoid pulling sort just for this; n is test-scale.
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-// Quantile returns the q-quantile of an ascending-sorted sample under the
-// package's nearest-rank (floor) convention — exported so other layers
-// (the serving runner's regret percentiles) share one definition instead
-// of keeping copies in sync.
-func Quantile(sorted []float64, q float64) float64 { return quantile(sorted, q) }
 
 // Tournament compares named plans under a shared sampled environment
 // stream (common random numbers: every plan sees the same memory

@@ -8,6 +8,7 @@ import (
 
 	"lecopt/internal/cost"
 	"lecopt/internal/dist"
+	"lecopt/internal/histo"
 	"lecopt/internal/plan"
 )
 
@@ -199,14 +200,16 @@ func TestTournamentValidation(t *testing.T) {
 	}
 }
 
+// TestQuantileEdge pins the edges of the quantile rule behind RunStats'
+// Median and P95.
 func TestQuantileEdge(t *testing.T) {
-	if !math.IsNaN(quantile(nil, 0.5)) {
+	if !math.IsNaN(histo.Quantile(nil, 0.5)) {
 		t.Fatal("empty quantile")
 	}
-	if q := quantile([]float64{1, 2, 3}, 0); q != 1 {
+	if q := histo.Quantile([]float64{1, 2, 3}, 0); q != 1 {
 		t.Fatalf("q0 = %v", q)
 	}
-	if q := quantile([]float64{1, 2, 3}, 1); q != 3 {
+	if q := histo.Quantile([]float64{1, 2, 3}, 1); q != 3 {
 		t.Fatalf("q1 = %v", q)
 	}
 }

@@ -84,7 +84,8 @@ func (s *Store) shardOf(query string) *storeShard {
 }
 
 // Observe folds one execution's observed sizes (SetKey -> pages) into the
-// query's running averages. Non-positive and non-finite sizes are ignored.
+// query's running averages. Non-positive and non-finite sizes are ignored;
+// a query enters the store only once one of its sizes folds.
 func (s *Store) Observe(query string, sizes map[string]float64) {
 	if len(sizes) == 0 {
 		return
@@ -93,13 +94,13 @@ func (s *Store) Observe(query string, sizes map[string]float64) {
 	folded := uint64(0)
 	sh.mu.Lock()
 	m := sh.queries[query]
-	if m == nil {
-		m = make(map[string]float64, len(sizes))
-		sh.queries[query] = m
-	}
 	for k, v := range sizes {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
+		}
+		if m == nil {
+			m = make(map[string]float64, len(sizes))
+			sh.queries[query] = m
 		}
 		if old, ok := m[k]; ok {
 			m[k] = s.alpha*v + (1-s.alpha)*old

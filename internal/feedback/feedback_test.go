@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 )
@@ -52,6 +53,16 @@ func TestObserveIgnoresGarbage(t *testing.T) {
 	s.Observe("q", map[string]float64{"a": -1, "b": 0})
 	if s.Hints("q") != nil {
 		t.Fatal("garbage observations must be dropped")
+	}
+}
+
+// TestGarbageOnlyObserveAddsNoQuery: a query none of whose sizes folds is
+// not counted as a query with observations.
+func TestGarbageOnlyObserveAddsNoQuery(t *testing.T) {
+	s := NewStore(0)
+	s.Observe("q", map[string]float64{"a": -1, "b": math.NaN(), "c": math.Inf(1)})
+	if q, obs := s.Queries(), s.Observations(); q != 0 || obs != 0 {
+		t.Fatalf("garbage-only Observe: queries %d observations %d, want 0 and 0", q, obs)
 	}
 }
 

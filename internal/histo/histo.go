@@ -1,14 +1,16 @@
-// Package histo is the shared per-request latency histogram of the
-// benchmark artifacts: BENCH_batch.json records wall-clock optimize
-// latency through it, BENCH_fleet.json records virtual (modeled) optimize
-// latency through the very same type, so the two artifacts' tail-latency
-// surfaces stay comparable across PRs. Values are exact (every observation
-// is kept), quantiles are nearest-rank, and the bucketed view is
+// Package histo is the per-request latency histogram of BENCH_fleet.json,
+// which records virtual (modeled) optimize latency through it, and the home
+// of the repository's one sample-quantile rule (Quantile), shared with the
+// Monte-Carlo summaries and the serving report. Values are exact (every
+// observation is kept), quantiles follow Quantile, and the bucketed view is
 // power-of-two, so a Summary is a pure function of the observed multiset —
 // byte-identical across runs of a deterministic workload.
 package histo
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // Histogram accumulates observations. The zero value is ready to use. It
 // is not concurrency-safe: callers observe from one goroutine (both
@@ -37,9 +39,9 @@ type Bucket struct {
 	Count int     `json:"count"`
 }
 
-// Summary is the JSON form of a histogram: nearest-rank quantiles plus the
+// Summary is the JSON form of a histogram: Quantile's quantiles plus the
 // power-of-two bucket counts. The artifact unit is documented per field
-// site (both current users record microseconds).
+// site (microseconds in BENCH_fleet.json).
 type Summary struct {
 	Count   int      `json:"count"`
 	Mean    float64  `json:"mean"`
@@ -65,19 +67,22 @@ func (h *Histogram) Summary() Summary {
 	return Summary{
 		Count:   len(s),
 		Mean:    sum / float64(len(s)),
-		P50:     quantile(s, 0.50),
-		P90:     quantile(s, 0.90),
-		P99:     quantile(s, 0.99),
+		P50:     Quantile(s, 0.50),
+		P90:     Quantile(s, 0.90),
+		P99:     Quantile(s, 0.99),
 		Max:     s[len(s)-1],
 		Buckets: bucketize(s),
 	}
 }
 
-// quantile is the nearest-rank quantile of a sorted sample (the same rule
-// envsim and the serving report use).
-func quantile(sorted []float64, q float64) float64 {
+// Quantile returns the q-quantile of an ascending-sorted sample of n values:
+// the element at 0-based index ⌊q·(n−1)⌋, the lower of the two order
+// statistics that linear interpolation would blend (it is not nearest-rank,
+// which picks the ⌈q·n⌉-th value). q outside [0, 1] is clamped; an empty
+// sample has no quantile and yields NaN.
+func Quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
-		return 0
+		return math.NaN()
 	}
 	idx := int(q * float64(len(sorted)-1))
 	if idx < 0 {

@@ -24,7 +24,7 @@ func TestQuantilesAndBuckets(t *testing.T) {
 		t.Fatalf("count/max wrong: %+v", s)
 	}
 	if s.P50 != 50 || s.P90 != 90 || s.P99 != 99 {
-		t.Fatalf("nearest-rank quantiles wrong: p50=%v p90=%v p99=%v", s.P50, s.P90, s.P99)
+		t.Fatalf("quantiles wrong: p50=%v p90=%v p99=%v", s.P50, s.P90, s.P99)
 	}
 	if s.Mean != 50.5 {
 		t.Fatalf("mean %v", s.Mean)

@@ -4,7 +4,7 @@
 // every package, each emitting positioned diagnostics.
 //
 // The analyzers encode invariants the compiler cannot see but every
-// empirical claim in BENCH_batch.json / BENCH_workload.json rests on:
+// empirical claim in BENCH_workload.json / BENCH_fleet.json rests on:
 // seeded randomness only (batch==sequential byte-identity), immutable
 // dist.Dist/dist.Chain laws (memoized fingerprints assume laws never
 // mutate), pure fingerprint inputs (drift-banded cache keys), no hardcoded

@@ -394,9 +394,8 @@ func (m *Mix) planOpts() *optimizer.Options {
 // scaled by factor (clamped to [1, rows]) — the stale statistics the
 // optimizer sees while the physical data stays put. It delegates to the
 // shared catalog.ScaleDistinct transform (serving tables carry only the
-// join key column "k", so scaling all columns is scaling the join keys),
-// keeping the simulator's drift and Prepare's drift axis the same
-// transform. Factor 1 returns the catalog unchanged.
+// join key column "k", so scaling all columns is scaling the join keys).
+// Factor 1 returns the catalog unchanged.
 func driftedCatalog(base *catalog.Catalog, factor float64) (*catalog.Catalog, error) {
 	return base.ScaleDistinct(factor)
 }

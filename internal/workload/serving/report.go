@@ -43,7 +43,7 @@ type Report struct {
 	PlanAgreementRate float64 `json:"plan_agreement_rate"`
 
 	// Per-request regret of each policy against the better of the two
-	// realized outcomes, in pages of I/O (nearest-rank percentiles).
+	// realized outcomes, in pages of I/O (histo.Quantile percentiles).
 	LECRegretP50 float64 `json:"lec_regret_p50"`
 	LECRegretP90 float64 `json:"lec_regret_p90"`
 	LECRegretP99 float64 `json:"lec_regret_p99"`

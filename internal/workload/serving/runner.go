@@ -8,7 +8,7 @@ import (
 
 	"lecopt/internal/catalog"
 	"lecopt/internal/core"
-	"lecopt/internal/envsim"
+	"lecopt/internal/histo"
 	"lecopt/internal/plan"
 	"lecopt/internal/plancache"
 )
@@ -288,13 +288,13 @@ func executeOnce(q *ServingQuery, p *plan.Node, memSeq []float64) (execOutcome, 
 	}, nil
 }
 
-// percentile returns the q-quantile of an unsorted sample via envsim's
-// shared nearest-rank Quantile.
+// percentile returns the q-quantile of an unsorted sample under the shared
+// histo.Quantile rule (0 for an empty sample).
 func percentile(sample []float64, q float64) float64 {
 	if len(sample) == 0 {
 		return 0
 	}
 	s := append([]float64(nil), sample...)
 	sort.Float64s(s)
-	return envsim.Quantile(s, q)
+	return histo.Quantile(s, q)
 }

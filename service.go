@@ -23,8 +23,8 @@ type (
 	// Response is the outcome of one Request (PlanReport embedded).
 	Response = core.Response
 	// Prepared is a prepared statement: parsed and canonicalized once,
-	// with [INSS92]-style parametric plan sets over the memory and drift
-	// axes.
+	// with an [INSS92]-style parametric plan set over anticipated memory
+	// laws.
 	Prepared = core.Prepared
 	// Feedback carries executed intermediate-result sizes back to an
 	// Optimizer (engine ExecResult.JoinSizes keyed by SizeKey).
@@ -68,15 +68,10 @@ func WithoutPlanCache() Option {
 	return func(c *core.Config) { c.CacheSize = -1; c.Cache = nil }
 }
 
-// WithDriftBand sets the geometric band base for drift-banded plan-cache
-// keys: catalogs whose distinct counts drift within a factor-base band
-// keep hitting the same cached plan. The default is base 2.
-func WithDriftBand(base float64) Option {
-	return func(c *core.Config) { c.DriftBand = base }
-}
-
 // WithExactCacheKeys restores exact-fingerprint cache keys: any
-// statistics change, however small, misses.
+// statistics change, however small, misses. By default keys are
+// drift-banded (core.DefaultDriftBand): catalogs whose distinct counts
+// drift within a factor-2 band keep hitting the same cached plan.
 func WithExactCacheKeys() Option {
 	return func(c *core.Config) { c.DriftBand = -1 }
 }
@@ -98,24 +93,12 @@ func WithoutFeedback() Option {
 	return func(c *core.Config) { c.DisableFeedback = true }
 }
 
-// WithFeedbackAlpha sets the EWMA weight of each observed size (the
-// default is feedback.DefaultAlpha).
-func WithFeedbackAlpha(alpha float64) Option {
-	return func(c *core.Config) { c.FeedbackAlpha = alpha }
-}
-
 // WithAnticipatedLaws sets Prepare's memory axis: the [INSS92] family of
 // anticipated memory laws each prepared statement precomputes LEC plans
 // for. Without it Prepare skips plan-set precomputation and
 // Prepared.Select falls back to full cached optimization.
 func WithAnticipatedLaws(laws ...Dist) Option {
 	return func(c *core.Config) { c.AnticipatedLaws = append([]dist.Dist(nil), laws...) }
-}
-
-// WithDriftFactors sets Prepare's drift axis: one plan set is precomputed
-// per anticipated statistics-drift factor (the default is {1}).
-func WithDriftFactors(factors ...float64) Option {
-	return func(c *core.Config) { c.DriftFactors = append([]float64(nil), factors...) }
 }
 
 // New builds a long-lived Optimizer service handle over cat. cat may be
